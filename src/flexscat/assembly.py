@@ -11,10 +11,18 @@ Scalar matrices live on all mesh nodes:
 
 The coupled system couples a Helmholtz field p and a modified-Helmholtz
 field q that share one unknown per cavity-boundary node.  Unknown ordering
-is (P_I, Q_I, P_T, Q_T, P_D); within each block, mesh node order.  The
-q-field rows are scaled by -1 so the assembled matrix is complex symmetric
-(A = A^T exactly), which the direct solver and the sign-structure tests
-rely on.
+is (P_I, Q_I, P_T, Q_T, P_D); within each block, mesh node order.  With P
+the 0/1 map from unknowns to the nodal pair (p, q), on whose D rows p and
+q read the same column,
+
+    A = P^T blockdiag(B1, -B2) P + DtN,
+    B1 = Kbar - kappa^2 Mbar - gamma KbarJ - eta KG,
+    B2 = Kbar + kappa^2 Mbar + gamma KbarJ,
+
+where DtN puts -T_p on the P_T block and +T_q on the Q_T block.  A D row
+thus holds the coupling B1 p - B2 q.  The q-field rows are scaled by -1 so
+the assembled matrix is complex symmetric (A = A^T exactly), which the
+direct solver and the sign-structure tests rely on.
 """
 
 from __future__ import annotations
@@ -81,25 +89,24 @@ class Method:
 # Element level
 # ---------------------------------------------------------------------------
 
-def _tri_geometry(verts: np.ndarray) -> tuple[float, np.ndarray]:
-    """Area and barycentric gradients (3, 2) of a CCW triangle."""
+def tri_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas (M,) and barycentric gradients (M, 3, 2) of CCW triangles (M, 3, 2)."""
     v = np.asarray(verts, dtype=float)
-    d1, d2 = v[1] - v[0], v[2] - v[0]
-    area = 0.5 * (d1[0] * d2[1] - d2[0] * d1[1])
-    if area <= AREA_EPS:
-        raise AssemblyError(f"degenerate triangle, area = {area:.3e}")
-    # grad(lambda_i) is the rotated opposite edge over twice the area
-    edges = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
-    grads = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / (2.0 * area)
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
+    bad = np.flatnonzero(area <= AREA_EPS)
+    if len(bad):
+        raise AssemblyError(f"degenerate triangle, area = {area[bad[0]]:.3e}")
+    # grad(lambda_i) is the opposite edge rotated by +90 degrees over twice the area
+    edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * area)[:, None, None]
     return area, grads
 
 
 def local_matrices(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact stiffness and mass matrices of the linear element."""
-    area, grads = _tri_geometry(verts)
-    k_loc = area * (grads @ grads.T)
-    m_loc = area * _MASS_REF
-    return k_loc, m_loc
+    area, grads = tri_geometry(np.asarray(verts, dtype=float)[None])
+    return area[0] * (grads[0] @ grads[0].T), area[0] * _MASS_REF
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +125,38 @@ class ScalarMatrices:
 
 def assemble_scalar(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Global stiffness and mass matrices (symmetric by construction)."""
-    n = mesh.n_nodes
-    rows, cols, kv, mv = [], [], [], []
-    for tri in mesh.triangles:
-        k_loc, m_loc = local_matrices(mesh.nodes[tri])
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                kv.append(k_loc[a, b])
-                mv.append(m_loc[a, b])
-    kbar = sp.coo_matrix((kv, (rows, cols)), shape=(n, n)).tocsr()
-    mbar = sp.coo_matrix((mv, (rows, cols)), shape=(n, n)).tocsr()
+    n, tris = mesh.n_nodes, mesh.triangles
+    area, grads = tri_geometry(mesh.nodes[tris])
+    k_loc = area[:, None, None] * (grads @ grads.transpose(0, 2, 1))
+    m_loc = area[:, None, None] * _MASS_REF
+    ij = (np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel())
+    kbar = sp.coo_matrix((k_loc.ravel(), ij), shape=(n, n)).tocsr()
+    mbar = sp.coo_matrix((m_loc.ravel(), ij), shape=(n, n)).tocsr()
     return kbar, mbar
+
+
+def _jump_vector(mesh: Mesh, edge_index: int,
+                 grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """interior_jump_vector from precomputed element gradients (M, 3, 2)."""
+    a, b = mesh.interior_edges[edge_index]
+    k_lo, k_hi = mesh.edge_tris[edge_index]  # ascending element order
+    tang = mesh.nodes[b] - mesh.nodes[a]
+    normal = np.array([tang[1], -tang[0]])
+    normal /= np.linalg.norm(normal)
+    tri_lo = mesh.triangles[k_lo]
+    # orient the normal out of the lower-index element
+    centroid = mesh.nodes[tri_lo].mean(axis=0)
+    if np.dot(normal, mesh.nodes[a] - centroid) < 0:
+        normal = -normal
+    # one row dot product per node: a matrix-vector product would round the
+    # normal derivatives differently from the per-node np.dot they replace
+    dn = (grads[[k_lo, k_hi], :, None, :] @ normal[:, None]).reshape(2, 3).tolist()
+    coeffs: dict[int, float] = {}
+    for k, sign, d in ((k_lo, 1.0, dn[0]), (k_hi, -1.0, dn[1])):
+        for node, x in zip(mesh.triangles[k].tolist(), d):
+            coeffs[node] = coeffs.get(node, 0.0) + sign * x
+    ids = np.array(sorted(coeffs), dtype=np.int64)
+    return ids, np.array([coeffs[i] for i in ids])
 
 
 def interior_jump_vector(mesh: Mesh, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,40 +166,22 @@ def interior_jump_vector(mesh: Mesh, edge_index: int) -> tuple[np.ndarray, np.nd
     element with the smaller element index to the other one; flipping that
     convention flips g_e's sign, which cancels in g_e g_e^T.
     """
-    a, b = mesh.interior_edges[edge_index]
-    k_lo, k_hi = sorted(mesh.edge_tris[edge_index])
-    tang = mesh.nodes[b] - mesh.nodes[a]
-    normal = np.array([tang[1], -tang[0]])
-    normal /= np.linalg.norm(normal)
-    tri_lo = mesh.triangles[k_lo]
-    # orient the normal out of the lower-index element
-    centroid = mesh.nodes[tri_lo].mean(axis=0)
-    if np.dot(normal, mesh.nodes[a] - centroid) < 0:
-        normal = -normal
-    coeffs: dict[int, float] = {}
-    for k, sign in ((k_lo, 1.0), (k_hi, -1.0)):
-        tri = mesh.triangles[k]
-        _, grads = _tri_geometry(mesh.nodes[tri])
-        for local, node in enumerate(tri):
-            coeffs[int(node)] = coeffs.get(int(node), 0.0) + sign * float(grads[local] @ normal)
-    ids = np.array(sorted(coeffs), dtype=np.int64)
-    return ids, np.array([coeffs[i] for i in ids])
+    _, grads = tri_geometry(mesh.nodes[mesh.triangles])
+    return _jump_vector(mesh, edge_index, grads)
 
 
 def assemble_interior_penalty(mesh: Mesh) -> sp.csr_matrix:
     """KbarJ = sum_e h_e^2 g_e g_e^T over all interior edges (unscaled)."""
     n = mesh.n_nodes
+    _, grads = tri_geometry(mesh.nodes[mesh.triangles])
     rows, cols, vals = [], [], []
     for e in range(len(mesh.interior_edges)):
-        ids, g = interior_jump_vector(mesh, e)
-        w = mesh.edge_lengths[e] ** 2
-        block = w * np.outer(g, g)
-        for a in range(len(ids)):
-            for b in range(len(ids)):
-                rows.append(ids[a])
-                cols.append(ids[b])
-                vals.append(block[a, b])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        ids, g = _jump_vector(mesh, e, grads)
+        rows.append(np.repeat(ids, len(ids)))
+        cols.append(np.tile(ids, len(ids)))
+        vals.append((mesh.edge_lengths[e] ** 2 * np.outer(g, g)).ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
 
 
 def assemble_boundary_penalty(mesh: Mesh) -> sp.csr_matrix:
@@ -184,14 +192,11 @@ def assemble_boundary_penalty(mesh: Mesh) -> sp.csr_matrix:
     local matrix for linear elements.
     """
     n = mesh.n_nodes
-    loop = mesh.cavity_loop
-    rows, cols, vals = [], [], []
-    for i in range(len(loop)):
-        a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-        for (r, c, v) in ((a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
+    a = mesh.cavity_loop
+    b = np.roll(a, -1)
+    rows = np.stack([a, a, b, b], axis=1).ravel()
+    cols = np.stack([a, b, a, b], axis=1).ravel()
+    vals = np.tile([1.0, -1.0, -1.0, 1.0], len(a))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -269,70 +274,23 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
 
     gamma = method.gamma if method.kind == "ip" else 0.0
     eta = method.eta if method.kind == "bp" else 0.0
+    b1 = (scalars.kbar - kappa**2 * scalars.mbar - gamma * scalars.kbar_j
+          - eta * scalars.kg)
+    b2 = scalars.kbar + kappa**2 * scalars.mbar + gamma * scalars.kbar_j
 
-    b1 = (scalars.kbar - kappa**2 * scalars.mbar - gamma * scalars.kbar_j).tocoo()
-    b2 = (scalars.kbar + kappa**2 * scalars.mbar + gamma * scalars.kbar_j).tocoo()
-    cls = mesh.node_class
-
-    rows, cols, vals = [], [], []
-
-    def scatter(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # p rows (I and T nodes): (Kbar - k^2 Mbar - gamma KbarJ) acting on the
-    # p field, with the shared P_D unknown standing in on D columns.
-    mask = cls[b1.row] != "D"
-    scatter(dof.p_dof[b1.row[mask]], dof.p_dof[b1.col[mask]],
-            b1.data[mask].astype(complex))
-    # q rows, scaled by -1 for symmetry.
-    mask = cls[b2.row] != "D"
-    scatter(dof.q_dof[b2.row[mask]], dof.q_dof[b2.col[mask]],
-            -b2.data[mask].astype(complex))
-
-    # coupling rows on D nodes: Kbar (p - q) - k^2 Mbar (p + q) - gamma KbarJ (p + q);
-    # the p and q stiffness contributions cancel on the shared D columns.
-    kd = scalars.kbar.tocoo()
-    mask = cls[kd.row] == "D"
-    scatter(dof.p_dof[kd.row[mask]], dof.p_dof[kd.col[mask]],
-            kd.data[mask].astype(complex))
-    scatter(dof.p_dof[kd.row[mask]], dof.q_dof[kd.col[mask]],
-            -kd.data[mask].astype(complex))
-    lower = (scalars.mbar * kappa**2 + gamma * scalars.kbar_j).tocoo()
-    mask = cls[lower.row] == "D"
-    scatter(dof.p_dof[lower.row[mask]], dof.p_dof[lower.col[mask]],
-            -lower.data[mask].astype(complex))
-    scatter(dof.p_dof[lower.row[mask]], dof.q_dof[lower.col[mask]],
-            -lower.data[mask].astype(complex))
-    if eta:
-        kg = scalars.kg.tocoo()
-        scatter(dof.p_dof[kg.row], dof.p_dof[kg.col],
-                -eta * kg.data.astype(complex))
-
-    # transparent boundary blocks on the T diagonal blocks
-    t_rows = dof.p_dof[mesh.t_nodes]
-    pr, pc = np.meshgrid(t_rows, t_rows, indexing="ij")
-    scatter(pr.ravel(), pc.ravel(), -tbc.p_block.ravel())
-    t_rows_q = dof.q_dof[mesh.t_nodes]
-    qr, qc = np.meshgrid(t_rows_q, t_rows_q, indexing="ij")
-    scatter(qr.ravel(), qc.ravel(), tbc.q_block.ravel())  # +: q rows are negated
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dof.size, dof.size)).tocsr()
+    # P maps the unknowns to nodal (p, q); a D node's p and q share a column
+    n = mesh.n_nodes
+    P = sp.csr_matrix((np.ones(2 * n), (np.arange(2 * n),
+                                        np.concatenate([dof.p_dof, dof.q_dof]))),
+                      shape=(2 * n, dof.size))
+    ni, nd = dof.n_interior, dof.n_cavity
+    dtn = sp.block_diag([sp.csr_matrix((2 * ni, 2 * ni)), -tbc.p_block, tbc.q_block,
+                         sp.csr_matrix((nd, nd))])
+    A = P.T @ sp.block_diag([b1, -b2]) @ P + dtn
     # the operator is symmetric; duplicate-entry summation order can leave
     # roundoff asymmetry, so enforce A = A^T exactly
     A = 0.5 * (A + A.T).tocsr()
 
     F = np.zeros(dof.size, dtype=complex)
-    F[t_rows] = load_t
+    F[dof.p_dof[mesh.t_nodes]] = load_t
     return BlockSystem(A, F, dof, kappa, method)
-
-
-def dump_matrix_market(system: BlockSystem, path: str) -> None:
-    """Debug dump of A and F in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(path + ".A.mtx", system.A)
-    mmwrite(path + ".F.mtx", system.F.reshape(-1, 1))

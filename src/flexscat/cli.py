@@ -22,11 +22,10 @@ from .assembly import AssemblyError, Method, assemble_all, build_system
 from .config import ConfigError, ScatterConfig, shape_to_dict
 from .dtn import IncidentField, assemble_tbc, incident_load
 from .geometry import (Circle, Ellipse, Kite, Mesh, MeshError, export_mesh,
-                       generate_mesh, generate_mesh_for_h, import_mesh, refine,
-                       refine_nested)
+                       generate_mesh_for_h, import_mesh, refine)
 from .postproc import ErrorReport, boundary_trace, compute_errors, fe_evaluator
 from .series import SeriesSolution
-from .solve import SolverError, recover_fields, solve_system
+from .solve import SolutionField, SolverError, recover_fields, solve_system
 
 #: Analytic-oracle mode count; above the FEM DtN truncation so oracle
 #: truncation error sits far below discretization error.
@@ -81,21 +80,16 @@ def load_reference(run_dir: Path):
     return fe_evaluator(field, mesh)
 
 
-def _read_field_csv(text: str, mesh: Mesh):
-    from .solve import SolutionField
-
+def _read_field_csv(text: str, mesh: Mesh) -> SolutionField:
     rows = text.strip().splitlines()
     if rows[0] != "node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w":
         raise RunError("unrecognized field CSV header")
     data = np.array([[float(v) for v in r.split(",")[4:]] for r in rows[1:]])
     if len(data) != mesh.n_nodes:
         raise RunError("field CSV does not match the mesh")
-    p = data[:, 0] + 1j * data[:, 1]
-    q = data[:, 2] + 1j * data[:, 3]
-    v = data[:, 4] + 1j * data[:, 5]
-    w = data[:, 6] + 1j * data[:, 7]
-    return SolutionField(p=p, q=q, u=q - p, v=v, w=w, p_scat=(w - v) / 2,
-                         q_scat=(w + v) / 2, residual=0.0)
+    p, q, v = (data[:, k] + 1j * data[:, k + 1] for k in (0, 2, 4))
+    # v = q - p - u_inc; v and w are re-derived from it to within roundoff
+    return SolutionField(p=p, q=q, u_inc=q - p - v, residual=0.0)
 
 
 def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .assembly import Method
 from .geometry import CavityShape, Circle, Ellipse, Kite
+from .specfun import MAX_ORDER
 
 
 class ConfigError(Exception):
@@ -82,12 +83,15 @@ class ScatterConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("kappa", "alpha", "R", "h_target"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
         if self.R <= 0:
             raise ConfigError("R must be positive")
-        if self.N < 0:
-            raise ConfigError("N must be >= 0")
+        if not 0 <= self.N <= MAX_ORDER:
+            raise ConfigError(f"N must be in 0..{MAX_ORDER}")
         if self.mesh_path is None and self.h_target <= 0:
             raise ConfigError("h_target must be positive")
         self.alpha = self.alpha % (2.0 * math.pi)

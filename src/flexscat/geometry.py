@@ -226,39 +226,41 @@ class Mesh:
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
         self.node_class = np.asarray(self.node_class, dtype="<U1")
 
-        edge_map: dict[tuple[int, int], list[int]] = {}
-        for k, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(min(a, b)), int(max(a, b)))
-                edge_map.setdefault(key, []).append(k)
+        # every triangle side as a sorted (lo, hi) pair, keyed lo * n + hi so
+        # that sorting the keys sorts the pairs; a stable sort keeps each
+        # edge's triangles in ascending element order
+        tris = self.triangles
+        sides = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+        sides.sort(axis=1)
+        keys = sides[:, 0] * np.int64(len(self.nodes)) + sides[:, 1]
+        order = np.argsort(keys, kind="stable")
+        _, first, counts = np.unique(keys[order], return_index=True, return_counts=True)
+        if np.any(counts > 2):
+            e = int(np.flatnonzero(counts > 2)[0])
+            key = tuple(int(v) for v in sides[order[first[e]]])
+            raise MeshError(f"edge {key} shared by {int(counts[e])} triangles")
+        side_tri = order // 3  # element index of each sorted side
 
-        interior, tri_pairs, boundary = [], [], []
-        for key, tris in sorted(edge_map.items()):
-            if len(tris) == 2:
-                interior.append(key)
-                tri_pairs.append(tris)
-            elif len(tris) == 1:
-                boundary.append(key)
-            else:
-                raise MeshError(f"edge {key} shared by {len(tris)} triangles")
-
-        self.interior_edges = np.array(interior, dtype=np.int64).reshape(-1, 2)
-        self.edge_tris = np.array(tri_pairs, dtype=np.int64).reshape(-1, 2)
+        inner = first[counts == 2]
+        self.interior_edges = sides[order[inner]]
+        self.edge_tris = np.stack([side_tri[inner], side_tri[inner + 1]], axis=1)
         d = self.nodes[self.interior_edges[:, 0]] - self.nodes[self.interior_edges[:, 1]]
         self.edge_lengths = np.linalg.norm(d, axis=1)
 
-        cav = [e for e in boundary if all(self.node_class[v] == "D" for v in e)]
-        trc = [e for e in boundary if all(self.node_class[v] == "T" for v in e)]
+        boundary = sides[order[first[counts == 1]]]
+        cls = self.node_class[boundary]
+        cav = boundary[np.all(cls == "D", axis=1)]
+        trc = boundary[np.all(cls == "T", axis=1)]
         if len(cav) + len(trc) != len(boundary):
             raise MeshError("boundary edge with mixed or interior node classes")
         self.cavity_loop = self._order_loop(cav, "cavity")
         self.truncation_loop = self._order_loop(trc, "truncation")
 
-    def _order_loop(self, edges: list[tuple[int, int]], name: str) -> np.ndarray:
-        if not edges:
+    def _order_loop(self, edges: np.ndarray, name: str) -> np.ndarray:
+        if not len(edges):
             raise MeshError(f"{name} boundary has no edges")
         adj: dict[int, list[int]] = {}
-        for a, b in edges:
+        for a, b in edges.tolist():
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
         if any(len(v) != 2 for v in adj.values()):
@@ -293,10 +295,12 @@ class Mesh:
         if np.any((self.node_class != "I") & (self.node_class != "T")
                   & (self.node_class != "D")):
             raise MeshError("unknown node class")
-        on_boundary = set(self.cavity_loop) | set(self.truncation_loop)
-        for v in np.flatnonzero(self.node_class != "I"):
-            if int(v) not in on_boundary:
-                raise MeshError(f"node {v} classed as boundary but not on a boundary loop")
+        off_loop = self.node_class != "I"
+        off_loop[self.cavity_loop] = False
+        off_loop[self.truncation_loop] = False
+        if np.any(off_loop):
+            v = int(np.flatnonzero(off_loop)[0])
+            raise MeshError(f"node {v} classed as boundary but not on a boundary loop")
         r = np.linalg.norm(self.nodes[self.t_nodes], axis=1)
         if len(r) and (r.max() - r.min()) > 1e-12 * r.mean():
             raise MeshError("T nodes do not lie on a common circle")
@@ -417,27 +421,27 @@ def generate_mesh(shape: CavityShape, R: float, n_radial: int,
     t = (frac[:, None] ** beta[None, :])[..., None]  # (n_radial+1, n_angular, 1)
     nodes = ((1.0 - t) * inner[None] + t * outer[None]).reshape(-1, 2)
 
-    def nid(i, j):
-        return i * n_angular + (j % n_angular)
+    i, j = np.divmod(np.arange(n_radial * n_angular), n_angular)
+    jn = (j + 1) % n_angular
+    # quad corners (c00, c10, c11, c01), split along the shorter diagonal
+    quads = np.stack([i * n_angular + j, (i + 1) * n_angular + j,
+                      (i + 1) * n_angular + jn, i * n_angular + jn], axis=1)
 
-    triangles = []
-    for i in range(n_radial):
-        for j in range(n_angular):
-            c00, c10 = nid(i, j), nid(i + 1, j)
-            c11, c01 = nid(i + 1, j + 1), nid(i, j + 1)
-            dA = np.linalg.norm(nodes[c00] - nodes[c11])
-            dB = np.linalg.norm(nodes[c10] - nodes[c01])
-            if dA <= dB:
-                triangles.append((c00, c10, c11))
-                triangles.append((c00, c11, c01))
-            else:
-                triangles.append((c00, c10, c01))
-                triangles.append((c10, c11, c01))
+    def length(d):
+        # a row dot product rounds exactly like the scalar np.linalg.norm
+        # the split was defined with; axis norms or hypot can flip the
+        # diagonals that tie on a circle
+        return np.sqrt(d[:, None, :] @ d[:, :, None]).ravel()
+
+    p = nodes[quads]
+    short_a = length(p[:, 0] - p[:, 2]) <= length(p[:, 1] - p[:, 3])
+    triangles = np.where(short_a[:, None, None], quads[:, [[0, 1, 2], [0, 2, 3]]],
+                         quads[:, [[0, 1, 3], [1, 2, 3]]])
 
     cls = np.full(len(nodes), "I", dtype="<U1")
     cls[:n_angular] = "D"
     cls[n_radial * n_angular:] = "T"
-    return Mesh(nodes, np.array(triangles, dtype=np.int64), cls,
+    return Mesh(nodes, triangles.reshape(-1, 3), cls,
                 generator=_Generator(shape, R, n_radial, n_angular))
 
 
@@ -501,6 +505,9 @@ def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float,
     """Smallest structured mesh (by n_angular bisection) with h <= h_target."""
     if h_target <= 0:
         raise ValueError("h_target must be positive")
+    # shape errors are no under-resolution: report them, not a failed search
+    _check_star_shaped(shape)
+    _check_contained(shape, R)
     gap = cavity_min_gap(shape, R)
     factor = 1.0 if isinstance(shape, Circle) else _RADIAL_COUNT_FACTOR
     n_radial = max(2, math.ceil(factor * math.sqrt(2.0) * gap / h_target))

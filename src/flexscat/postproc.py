@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .assembly import Method
+from .assembly import Method, tri_geometry
 from .geometry import Mesh
 from .solve import SolutionField
 
@@ -110,19 +110,8 @@ def _fe_values(mesh: Mesh, nodal: np.ndarray, rule_pts: np.ndarray):
 
 def _fe_gradients(mesh: Mesh, nodal: np.ndarray):
     """Constant per-element gradient (M, 2) of a nodal field."""
-    verts = mesh.nodes[mesh.triangles]
-    d1 = verts[:, 1] - verts[:, 0]
-    d2 = verts[:, 2] - verts[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
-    e0 = verts[:, 2] - verts[:, 1]
-    e1 = verts[:, 0] - verts[:, 2]
-    e2 = verts[:, 1] - verts[:, 0]
-    grads = np.stack([np.stack([-e0[:, 1], e0[:, 0]], axis=1),
-                      np.stack([-e1[:, 1], e1[:, 0]], axis=1),
-                      np.stack([-e2[:, 1], e2[:, 0]], axis=1)], axis=1)
-    grads = grads / area2[:, None, None]
-    vals = nodal[mesh.triangles]
-    return np.einsum("mb,mbx->mx", vals, grads)
+    _, grads = tri_geometry(mesh.nodes[mesh.triangles])
+    return np.einsum("mb,mbx->mx", nodal[mesh.triangles], grads)
 
 
 def compute_errors(field: SolutionField, mesh: Mesh, exact, method: Method,
@@ -258,16 +247,17 @@ def fe_evaluator(field: SolutionField, mesh: Mesh):
     Gradients are the element-wise constant FE gradients.
     """
     locator = PointLocator(mesh)
-    gv = _fe_gradients(mesh, field.v)
-    gw = _fe_gradients(mesh, field.w)
+    v_nodal, w_nodal = field.v, field.w
+    gv = _fe_gradients(mesh, v_nodal)
+    gw = _fe_gradients(mesh, w_nodal)
 
     def evaluate(points: np.ndarray):
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
         tri, bary = locator.locate(flat)
         conn = mesh.triangles[tri]
-        v = np.einsum("pb,pb->p", bary, field.v[conn])
-        w = np.einsum("pb,pb->p", bary, field.w[conn])
+        v = np.einsum("pb,pb->p", bary, v_nodal[conn])
+        w = np.einsum("pb,pb->p", bary, w_nodal[conn])
         shape = pts.shape[:-1]
         return (v.reshape(shape), w.reshape(shape),
                 gv[tri].reshape(shape + (2,)), gw[tri].reshape(shape + (2,)))
@@ -282,10 +272,10 @@ def fe_evaluator(field: SolutionField, mesh: Mesh):
 def field_csv(field: SolutionField, mesh: Mesh) -> str:
     out = io.StringIO()
     out.write("node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w\n")
-    for i in range(mesh.n_nodes):
-        x, y = (float(c) for c in mesh.nodes[i])
-        p, q, v, w = (complex(z[i]) for z in (field.p, field.q, field.v, field.w))
-        out.write(f"{i + 1},{x!r},{y!r},{mesh.node_class[i]},"
+    rows = zip(mesh.nodes.tolist(), mesh.node_class, field.p.tolist(),
+               field.q.tolist(), field.v.tolist(), field.w.tolist())
+    for i, ((x, y), c, p, q, v, w) in enumerate(rows, start=1):
+        out.write(f"{i},{x!r},{y!r},{c},"
                   f"{p.real!r},{p.imag!r},{q.real!r},{q.imag!r},"
                   f"{v.real!r},{v.imag!r},{w.real!r},{w.imag!r}\n")
     return out.getvalue()

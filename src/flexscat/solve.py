@@ -32,16 +32,36 @@ class SolverError(Exception):
 
 @dataclass
 class SolutionField:
-    """Nodal complex fields; p and q share one value on the cavity nodes."""
+    """Nodal complex fields; p and q share one value on the cavity nodes.
+
+    Only p, q and the incident field are stored; the physical fields are
+    derived from them by the relations in the module docstring.
+    """
 
     p: np.ndarray
     q: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    p_scat: np.ndarray
-    q_scat: np.ndarray
+    u_inc: np.ndarray
     residual: float
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.q - self.p
+
+    @property
+    def p_scat(self) -> np.ndarray:
+        return self.p + self.u_inc
+
+    @property
+    def q_scat(self) -> np.ndarray:
+        return self.q
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.q - self.p_scat
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.p_scat + self.q
 
 
 def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
@@ -83,17 +103,9 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
 
 def recover_fields(w_vec: np.ndarray, system: BlockSystem, mesh: Mesh,
                    incident: IncidentField, residual: float = 0.0) -> SolutionField:
-    """Scatter the unknown vector to nodes and derive u, v, w."""
+    """Scatter the unknown vector to nodal p and q."""
     dof = system.dof_map
     if len(w_vec) != dof.size:
         raise SolverError("unknown vector does not match the system dimension")
-    p = w_vec[dof.p_dof]
-    q = w_vec[dof.q_dof]
-    uinc = incident(mesh.nodes)
-    u = q - p
-    p_s = p + uinc
-    q_s = q.copy()
-    v = q_s - p_s
-    wm = p_s + q_s
-    return SolutionField(p=p, q=q, u=u, v=v, w=wm, p_scat=p_s, q_scat=q_s,
-                         residual=residual)
+    return SolutionField(p=w_vec[dof.p_dof], q=w_vec[dof.q_dof],
+                         u_inc=incident(mesh.nodes), residual=residual)

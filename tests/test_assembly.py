@@ -53,6 +53,15 @@ def test_local_matrices_reject_degenerate_triangle():
 
 def test_global_scalar_matrices(coarse_circle_mesh):
     kbar, mbar = assemble_scalar(coarse_circle_mesh)
+    # the batched assembly equals the sum of the element matrices
+    k_ref = np.zeros(kbar.shape)
+    m_ref = np.zeros(mbar.shape)
+    for tri in coarse_circle_mesh.triangles:
+        k_loc, m_loc = local_matrices(coarse_circle_mesh.nodes[tri])
+        k_ref[np.ix_(tri, tri)] += k_loc
+        m_ref[np.ix_(tri, tri)] += m_loc
+    assert np.abs(kbar.toarray() - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
+    assert np.abs(mbar.toarray() - m_ref).max() <= 1e-14 * np.abs(m_ref).max()
     assert (kbar != kbar.T).nnz == 0
     assert (mbar != mbar.T).nnz == 0
     ones = np.ones(coarse_circle_mesh.n_nodes)
@@ -149,6 +158,37 @@ def test_global_system_complex_symmetric(coarse_circle_mesh, method):
     dof = system.dof_map
     support = np.flatnonzero(system.F)
     assert set(support) <= set(dof.p_dof[mesh.t_nodes])
+
+
+@pytest.mark.parametrize("method", [Method.regular(),
+                                    Method.interior_penalty(0.3),
+                                    Method.boundary_penalty(0.7)])
+def test_global_system_rows_match_scalar_operators(coarse_circle_mesh, method):
+    mesh = coarse_circle_mesh
+    scalars = assemble_all(mesh)
+    tbc = assemble_tbc(mesh, KAPPA, R, 15)
+    load = incident_load(mesh, KAPPA, R, math.pi / 3, 15)
+    system = build_system(mesh, scalars, tbc, load, KAPPA, method)
+    dof = system.dof_map
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
+    q = rng.normal(size=mesh.n_nodes) + 1j * rng.normal(size=mesh.n_nodes)
+    d, t = mesh.d_nodes, mesh.t_nodes
+    q[d] = p[d]
+    w = np.zeros(dof.size, dtype=complex)
+    w[dof.p_dof], w[dof.q_dof] = p, q
+    aw = system.A @ w
+
+    k, m, kj, kg = scalars.kbar, scalars.mbar, scalars.kbar_j, scalars.kg
+    b1p = (k - KAPPA**2 * m - method.gamma * kj - method.eta * kg) @ p
+    b2q = (k + KAPPA**2 * m + method.gamma * kj) @ q
+    b1p[t] -= tbc.p_block @ p[t]
+    b2q[t] -= tbc.q_block @ q[t]
+    free = mesh.node_class != "D"
+    scale = np.abs(aw).max()
+    assert np.abs(aw[dof.p_dof[free]] - b1p[free]).max() <= 1e-12 * scale
+    assert np.abs(aw[dof.q_dof[free]] + b2q[free]).max() <= 1e-12 * scale
+    assert np.abs(aw[dof.p_dof[d]] - (b1p - b2q)[d]).max() <= 1e-12 * scale
 
 
 def test_build_system_dimension_mismatch(coarse_circle_mesh):

@@ -134,12 +134,16 @@ def test_usage_errors_exit_1(tmp_path):
     assert run(["converge", "--levels", "2", "--out", str(tmp_path / "z")]) == 1
     assert run(["analytic", "--shape", "ellipse:0.4,0.2",
                 "--out", str(tmp_path / "w")]) == 1
+    for bad in (["--N", "100"], ["--alpha", "nan"], ["--kappa", "inf"]):
+        assert run(["solve", *bad, "--out", str(tmp_path / "v")]) == 1
 
 
-def test_numerical_failures_exit_2(tmp_path):
+def test_numerical_failures_exit_2(tmp_path, capsys):
     # cavity touching the truncation circle cannot be meshed
     assert run(["solve", "--shape", "circle:0.6", "--oracle", "none",
                 "--out", str(tmp_path / "f")]) == 2
+    assert run(["mesh", "--R", "0.25", "--out", str(tmp_path / "g")]) == 2
+    assert "cavity extends to radius" in capsys.readouterr().err
 
 
 def test_observed_orders_on_synthetic_data():

@@ -142,6 +142,38 @@ def test_generate_mesh_for_h_unreachable_target():
 def test_cavity_must_fit_inside_truncation_circle():
     with pytest.raises(MeshError):
         generate_mesh(Circle(0.6), 0.6, 4, 24)
+    # reported as such, not as an unreachable h target
+    with pytest.raises(MeshError, match="cavity extends to radius"):
+        generate_mesh_for_h(Circle(0.3), 0.25, 0.05)
+
+
+def test_quad_split_matches_scalar_reference():
+    # on a circle many quad diagonals tie; the split must break each tie as
+    # the scalar loop below does, or the circle meshes change
+    nr, na = 7, 64
+    mesh = generate_mesh(Circle(0.3), 0.6, nr, na)
+    nodes, ref = mesh.nodes, []
+    for i in range(nr):
+        for j in range(na):
+            c00, c10 = i * na + j, (i + 1) * na + j
+            c11, c01 = (i + 1) * na + (j + 1) % na, i * na + (j + 1) % na
+            if np.linalg.norm(nodes[c00] - nodes[c11]) <= np.linalg.norm(nodes[c10] - nodes[c01]):
+                ref += [(c00, c10, c11), (c00, c11, c01)]
+            else:
+                ref += [(c00, c10, c01), (c10, c11, c01)]
+    assert np.array_equal(mesh.triangles, np.array(ref))
+
+
+def test_topology_matches_edge_map_reference():
+    for mesh in (generate_mesh(Kite(0.3, 0.2, 0.1), 0.6, 3, 24),
+                 refine_nested(generate_mesh(Circle(0.3), 0.6, 2, 12))):
+        edge_map = {}
+        for k, tri in enumerate(mesh.triangles.tolist()):
+            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                edge_map.setdefault((min(a, b), max(a, b)), []).append(k)
+        inner = sorted((e, t) for e, t in edge_map.items() if len(t) == 2)
+        assert mesh.interior_edges.tolist() == [list(e) for e, _ in inner]
+        assert mesh.edge_tris.tolist() == [t for _, t in inner]
 
 
 def test_invalid_generation_parameters():

@@ -55,8 +55,7 @@ def test_point_evaluation_reproduces_linear_fields(coarse_circle_mesh):
 
     mesh = coarse_circle_mesh
     lin = (0.3 * mesh.nodes[:, 0] - 0.8 * mesh.nodes[:, 1] + 0.1).astype(complex)
-    field = SolutionField(p=lin, q=lin, u=lin, v=lin, w=2 * lin,
-                          p_scat=lin, q_scat=lin, residual=0.0)
+    field = SolutionField(p=0.5 * lin, q=1.5 * lin, u_inc=0 * lin, residual=0.0)
     rng = np.random.default_rng(5)
     r = rng.uniform(RHAT * 1.02, R * 0.98, 200)
     th = rng.uniform(0, 2 * math.pi, 200)
