@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,12 +25,15 @@ from .dtn import IncidentField, assemble_tbc, incident_load
 from .geometry import (Circle, Ellipse, Kite, Mesh, MeshError, export_mesh,
                        generate_mesh_for_h, import_mesh, refine)
 from .postproc import ErrorReport, boundary_trace, compute_errors, fe_evaluator
-from .series import SeriesSolution
+from .series import CavityPointError, SeriesSolution
 from .solve import SolutionField, SolverError, recover_fields, solve_system
 
 #: Analytic-oracle mode count; above the FEM DtN truncation so oracle
 #: truncation error sits far below discretization error.
 ORACLE_MODES = 25
+
+#: Refinements of the finest study level that give an FE reference mesh.
+REFERENCE_EXTRA_REFINES = 2
 
 
 class RunError(Exception):
@@ -46,9 +50,8 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     return generate_mesh_for_h(config.shape, config.R, config.h_target)
 
 
-def solve_once(config: ScatterConfig, mesh: Mesh):
-    """Assemble and solve one configuration on a given mesh."""
-    scalars = assemble_all(mesh)
+def solve_once(config: ScatterConfig, mesh: Mesh, scalars):
+    """Solve one configuration on a given mesh with its scalar matrices."""
     tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
     load = incident_load(mesh, config.kappa, config.R, config.alpha, config.N)
     system = build_system(mesh, scalars, tbc, load, config.kappa, config.method)
@@ -96,7 +99,7 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     """Single solve; writes mesh, field, trace, metadata, optional errors."""
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
-    field, system = solve_once(config, mesh)
+    field, system = solve_once(config, mesh, assemble_all(mesh))
 
     (out_dir / "mesh.txt").write_text(export_mesh(mesh))
     (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
@@ -137,28 +140,19 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     reports: list[ErrorReport | None] = []
     failures: list[str] = []
     for value in values:
-        kappa = config.kappa
         if parameter == "gamma":
-            method = Method.interior_penalty(value)
+            cfg = dataclasses.replace(config, method=Method.interior_penalty(value))
         elif parameter == "eta":
-            method = Method.boundary_penalty(value)
+            cfg = dataclasses.replace(config, method=Method.boundary_penalty(value))
         else:
-            kappa = value
-            method = config.method
+            cfg = dataclasses.replace(config, kappa=value)
         try:
-            tbc = assemble_tbc(mesh, kappa, config.R, config.N)
-            load = incident_load(mesh, kappa, config.R, config.alpha, config.N)
-            system = build_system(mesh, scalars, tbc, load, kappa, method)
-            w_vec, residual = solve_system(system)
-            field = recover_fields(w_vec, system, mesh,
-                                   IncidentField(kappa, config.alpha), residual)
-            cfg = ScatterConfig(**{**config.to_dict(),
-                                   "shape": config.shape, "method": method,
-                                   "kappa": kappa})
+            field, _ = solve_once(cfg, mesh, scalars)
             exact = oracle_evaluator(cfg)
             if exact is None:
                 raise ConfigError("sweep requires an oracle to report errors")
-            reports.append(compute_errors(field, mesh, exact, method, kappa, config.N))
+            reports.append(compute_errors(field, mesh, exact, cfg.method,
+                                          cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError) as exc:
             reports.append(None)
             failures.append(f"{parameter}={value!r}: {exc}")
@@ -180,15 +174,14 @@ def observed_orders(reports: list[ErrorReport]) -> dict[str, float]:
     return out
 
 
-def run_convergence(config: ScatterConfig, levels: int, out_dir: Path,
-                    reference_extra_refines: int = 2):
+def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     """Solve on successively refined meshes and report observed orders.
 
     Every level is regenerated at doubled resolution, so each mesh
     resolves the exact curved cavity.  With the series oracle (circular
     cavity) errors are measured against the analytic solution; otherwise
     the truth is an interior-penalty solve on a mesh
-    ``reference_extra_refines`` refinements beyond the finest level.
+    ``REFERENCE_EXTRA_REFINES`` refinements beyond the finest level.
     """
     if levels < 3:
         raise ConfigError("convergence study needs at least 3 levels")
@@ -204,16 +197,16 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path,
         exact = oracle_evaluator(config)
     else:
         ref_mesh = meshes[-1]
-        for _ in range(reference_extra_refines):
+        for _ in range(REFERENCE_EXTRA_REFINES):
             ref_mesh = refine(ref_mesh)
-        ref_cfg = ScatterConfig(**{**config.to_dict(), "shape": config.shape,
-                                   "method": Method.interior_penalty(config.kappa * 1e-3)})
-        ref_field, _ = solve_once(ref_cfg, ref_mesh)
+        ref_cfg = dataclasses.replace(
+            config, method=Method.interior_penalty(config.kappa * 1e-3))
+        ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh))
         exact = fe_evaluator(ref_field, ref_mesh)
 
     reports = []
     for mesh in meshes:
-        field, _ = solve_once(config, mesh)
+        field, _ = solve_once(config, mesh, assemble_all(mesh))
         reports.append(compute_errors(field, mesh, exact, config.method,
                                       config.kappa, config.N))
 
@@ -373,6 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CavityPointError as exc:
+        print(f"numerical failure: mesh too coarse for the series oracle ({exc})",
+              file=sys.stderr)
+        return 2
     except (MeshError, AssemblyError, SolverError, RunError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ that are piecewise linear in the polar angle theta, the pairing
 where c_n[j] = int beta_j(theta) e^{i n theta} d theta has a closed form
 per mesh segment; the explicit 1/R in the operator cancels the ds = R
 d(theta) measure.  The sum is truncated at |n| <= N and assembled into
-dense blocks over the T nodes.
+dense blocks over the T nodes as one product V^T diag(coeff) conj(V),
+where row n of V is c_n, computed for all orders in one call.
 
 Also here: the incident plane wave and its load vector -<g1, beta_j>,
 with g1 = d_r u_inc - T1 u_inc expanded through the Jacobi-Anger series.
@@ -62,12 +63,13 @@ class TbcMatrix:
     mode_vectors: np.ndarray  # (n_modes, N_T)
 
 
-def hat_fourier(angles: np.ndarray, n: int) -> np.ndarray:
+def hat_fourier(angles: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     """c_n[j] = int beta_j(theta) e^{i n theta} d theta, closed form.
 
     ``angles`` must be strictly increasing modulo 2 pi (one loop); beta_j is
     the hat that is 1 at angles[j], piecewise linear in theta between
-    neighboring entries.
+    neighboring entries.  An int ``n`` gives shape (len(angles),); an array
+    of orders gives one row per order.
     """
     th = np.asarray(angles, dtype=float)
     if len(th) < 3:
@@ -77,15 +79,14 @@ def hat_fourier(angles: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("angles must be strictly increasing over one loop")
     d_next = gaps                # angles[j] -> angles[j+1]
     d_prev = np.roll(gaps, 1)    # angles[j-1] -> angles[j]
-    if n == 0:
-        return (0.5 * (d_prev + d_next)).astype(complex)
-    ein = np.exp(1j * n * th)
+    n = np.asarray(n)[..., None]
+    # the n = 0 row is the support measure; a dummy order 1 keeps the
+    # general formula free of division by zero there
+    i_n = 1j * np.where(n == 0, 1, n)
     # rising ramp on [theta_j - d_prev, theta_j], falling on [theta_j, theta_j + d_next]
-    up = np.exp(1j * n * d_prev)
-    dn = np.exp(1j * n * d_next)
-    rise = 1.0 / (1j * n) - (1.0 - 1.0 / up) / ((1j * n) ** 2 * d_prev)
-    fall = -1.0 / (1j * n) + (dn - 1.0) / ((1j * n) ** 2 * d_next) * np.ones_like(up)
-    return ein * (rise + fall)
+    rise = 1.0 / i_n - (1.0 - np.exp(-i_n * d_prev)) / (i_n ** 2 * d_prev)
+    fall = -1.0 / i_n + (np.exp(i_n * d_next) - 1.0) / (i_n ** 2 * d_next)
+    return np.where(n == 0, 0.5 * (d_prev + d_next), np.exp(i_n * th) * (rise + fall))
 
 
 def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
@@ -104,15 +105,9 @@ def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
     coeff_p = np.array([dtn_symbol_h(n, z) / (2.0 * math.pi) for n in orders])
     coeff_q = np.array([dtn_symbol_k(n, z) / (2.0 * math.pi) for n in orders],
                        dtype=complex)
-    vectors = np.stack([hat_fourier(angles[order], n)[inv] for n in orders])
-
-    nt = len(t_nodes)
-    p_block = np.zeros((nt, nt), dtype=complex)
-    q_block = np.zeros((nt, nt), dtype=complex)
-    for cp, cq, c in zip(coeff_p, coeff_q, vectors):
-        outer = np.outer(c, np.conj(c))
-        p_block += cp * outer
-        q_block += cq * outer
+    vectors = hat_fourier(angles[order], orders)[:, inv]
+    p_block = (vectors.T * coeff_p) @ vectors.conj()
+    q_block = (vectors.T * coeff_q) @ vectors.conj()
     # the +n / -n mode pair makes each block symmetric analytically; enforce
     # it exactly so the global system is complex symmetric to the last bit
     p_block = 0.5 * (p_block + p_block.T)
@@ -133,9 +128,6 @@ def incident_load(mesh: Mesh, kappa: float, R: float, alpha: float,
     """Load vector F_j = -<g1, beta_j>_Gamma_R over T nodes (mesh order)."""
     angles = mesh.t_angles()
     order = np.argsort(angles)
-    inv = np.argsort(order)
-    load = np.zeros(len(angles), dtype=complex)
-    for n in range(-n_modes, n_modes + 1):
-        g_n = incident_mode_coeff(n, kappa, R, alpha)
-        load += g_n * hat_fourier(angles[order], n)[inv]
-    return -R * load
+    orders = np.arange(-n_modes, n_modes + 1)
+    g = np.array([incident_mode_coeff(int(n), kappa, R, alpha) for n in orders])
+    return -R * (g @ hat_fourier(angles[order], orders))[np.argsort(order)]

@@ -63,6 +63,7 @@ class Kite:
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0 or self.c <= 0:
             raise ValueError("kite coefficients must be positive")
+        _check_star_shaped(self)
 
 
 CavityShape = Circle | Ellipse | Kite
@@ -89,7 +90,11 @@ def cavity_point(shape: CavityShape, t: float | np.ndarray) -> np.ndarray:
 
 
 def _check_star_shaped(shape: CavityShape) -> None:
-    """Sampled check: positive radius and strictly increasing polar angle."""
+    """Sampled check: positive radius and strictly increasing polar angle.
+
+    Run by Kite construction; a circle or an ellipse with positive axes is
+    star-shaped by construction.
+    """
     t = np.linspace(0.0, 2.0 * math.pi, _CONTAINMENT_SAMPLES, endpoint=False)
     pts = cavity_point(shape, t)
     r = np.hypot(pts[:, 0], pts[:, 1])
@@ -408,7 +413,6 @@ def generate_mesh(shape: CavityShape, R: float, n_radial: int,
         raise ValueError("n_radial must be at least 2")
     if n_angular < 8:
         raise ValueError("n_angular must be at least 8")
-    _check_star_shaped(shape)
     _check_contained(shape, R)
 
     theta = _graded_angles(shape, R, n_angular)
@@ -505,8 +509,7 @@ def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float,
     """Smallest structured mesh (by n_angular bisection) with h <= h_target."""
     if h_target <= 0:
         raise ValueError("h_target must be positive")
-    # shape errors are no under-resolution: report them, not a failed search
-    _check_star_shaped(shape)
+    # containment errors are no under-resolution: report them, not a failed search
     _check_contained(shape, R)
     gap = cavity_min_gap(shape, R)
     factor = 1.0 if isinstance(shape, Circle) else _RADIAL_COUNT_FACTOR

@@ -162,17 +162,20 @@ def boundary_trace(field: SolutionField, mesh: Mesh) -> BoundaryTrace:
 # Point evaluation
 # ---------------------------------------------------------------------------
 
+#: Barycentric tolerance for a point to count as inside an element.
+_BARY_TOL = 1e-10
+#: A point outside every element is clamped onto the closest one if it lies
+#: within this fraction of the mesh's bounding-box diagonal.
+_CLAMP_FRACTION = 0.025
+
+
 class PointLocator:
     """Triangle lookup by centroid KD-tree with brute-force fallback."""
 
-    def __init__(self, mesh: Mesh, tol: float = 1e-10,
-                 clamp_dist: float | None = None):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.tol = tol
-        if clamp_dist is None:
-            span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
-            clamp_dist = 0.025 * float(np.linalg.norm(span))
-        self.clamp_dist = clamp_dist
+        span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
+        self.clamp_dist = _CLAMP_FRACTION * float(np.linalg.norm(span))
         self.verts = mesh.nodes[mesh.triangles]
         self.tree = cKDTree(self.verts.mean(axis=1))
 
@@ -199,7 +202,7 @@ class PointLocator:
             if not len(remaining):
                 break
             b = self._bary(cand[remaining, col], pts[remaining])
-            ok = b.min(axis=1) >= -self.tol
+            ok = b.min(axis=1) >= -_BARY_TOL
             hit = remaining[ok]
             tri[hit] = cand[hit, col]
             bary[hit] = b[ok]
@@ -207,7 +210,7 @@ class PointLocator:
         if len(remaining):  # brute force over every element
             for i in remaining:
                 b = self._bary(np.arange(len(self.verts)), pts[i])
-                ok = np.flatnonzero(b.min(axis=1) >= -self.tol)
+                ok = np.flatnonzero(b.min(axis=1) >= -_BARY_TOL)
                 if len(ok):
                     tri[i] = ok[0]
                     bary[i] = b[ok[0]]
@@ -229,15 +232,9 @@ class PointLocator:
         return tri, bary
 
 
-def evaluate_at_points(field: SolutionField, mesh: Mesh, points: np.ndarray,
-                       locator: PointLocator | None = None):
+def evaluate_at_points(field: SolutionField, mesh: Mesh, points: np.ndarray):
     """(v, w) by barycentric interpolation at arbitrary interior points."""
-    loc = locator or PointLocator(mesh)
-    pts = np.asarray(points, dtype=float)
-    tri, bary = loc.locate(pts.reshape(-1, 2))
-    conn = mesh.triangles[tri]
-    v = np.einsum("pb,pb->p", bary, field.v[conn]).reshape(pts.shape[:-1])
-    w = np.einsum("pb,pb->p", bary, field.w[conn]).reshape(pts.shape[:-1])
+    v, w, _, _ = fe_evaluator(field, mesh)(points)
     return v, w
 
 

@@ -13,25 +13,32 @@ every n (its imaginary part is -2 / (pi Rhat |H_n^(1)(kappa Rhat)|^2)).
 
 This module is the exactness oracle for the finite element solver, so its
 truncation default (25 modes) sits well below discretization error.
-Radial factors are evaluated as ratios to dodge K_n overflow.
+Radial factors are evaluated as ratios to dodge K_n overflow.  Each family
+is tabulated once per evaluation, by one ``hankel1`` and one
+exp-scaled ``kve`` call over the orders 0..N+1, with the reference
+argument kappa * Rhat as row 0 of the same table; the derivatives come from
+the recurrences H_n' = (n/z) H_n - H_{n+1} (DLMF 10.6.2) and
+K_n' = (n/z) K_n - K_{n+1} (DLMF 10.29.2).
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .specfun import (bessel_j, bessel_k, dtn_symbol_h, dtn_symbol_k,
-                      hankel1)
+from .specfun import bessel_j, dtn_symbol_h, dtn_symbol_k
 
 #: Points closer to the cavity than (1 - RADIAL_SLACK) * Rhat are rejected.
 #: The slack admits quadrature points of meshes whose polygonal cavity
 #: boundary dips slightly inside the exact circle (an O(h^2) effect).
 RADIAL_SLACK = 0.01
+
+
+class CavityPointError(ValueError):
+    """An evaluation point lies inside the cavity, beyond RADIAL_SLACK."""
 
 
 def boundary_data_coeffs(n: int, kappa: float, r_cavity: float,
@@ -108,23 +115,19 @@ class SeriesSolution:
     def _radial_factors(self, r: np.ndarray):
         """Ratio radial factors and their r-derivatives, shape (len(r), n_modes*2+1)."""
         z0 = self.kappa * self.r_cavity
-        z = self.kappa * np.asarray(r, dtype=float)
-        orders = np.arange(0, self.n_modes + 1)
-        h_ref = np.array([hankel1(int(n), z0).value for n in orders])
-        k_ref = np.array([bessel_k(int(n), z0).value for n in orders])
-        hv = special.hankel1(orders[None, :], z[:, None]) / h_ref[None, :]
-        hd = self.kappa * special.h1vp(orders[None, :], z[:, None]) / h_ref[None, :]
-        # K ratio via exp-scaled values: kve = K * exp(z)
-        kv = (special.kve(orders[None, :], z[:, None]) /
-              special.kve(orders, z0)[None, :] * np.exp(z0 - z)[:, None])
-        kd_unscaled = -0.5 * (special.kve(np.abs(orders[None, :] - 1), z[:, None])
-                              + special.kve(orders[None, :] + 1, z[:, None]))
-        kd = (self.kappa * kd_unscaled / special.kve(orders, z0)[None, :]
-              * np.exp(z0 - z)[:, None])
+        # row 0 is the reference argument kappa * Rhat, rows 1.. the points
+        z = np.concatenate([[z0], self.kappa * np.asarray(r, dtype=float)])[:, None]
+        orders = np.arange(self.n_modes + 2)
+        # K_n(z) exp(z0) from the exp-scaled kve dodges overflow; the scale
+        # is one factor per row, so the ratios and the recurrence keep it
+        tables = (special.hankel1(orders, z), special.kve(orders, z) * np.exp(z0 - z))
+        factors = []
+        for t in tables:
+            deriv = orders[:-1] / z * t[:, :-1] - t[:, 1:]  # (n/z) Z_n - Z_{n+1}
+            factors += [t[1:, :-1] / t[0, :-1], self.kappa * deriv[1:] / t[0, :-1]]
         # extend to negative orders (all ratios are even in n)
-        full = slice(None)
         idx = np.abs(np.arange(-self.n_modes, self.n_modes + 1))
-        return hv[full, idx], hd[full, idx], kv[full, idx], kd[full, idx]
+        return tuple(f[:, idx] for f in factors)
 
     def eval_polar(self, r: np.ndarray, theta: np.ndarray):
         """Fields and Cartesian gradients at polar points.
@@ -135,37 +138,34 @@ class SeriesSolution:
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         if np.any(r < (1.0 - RADIAL_SLACK) * self.r_cavity):
-            raise ValueError("evaluation point inside the cavity")
-        r_safe = np.maximum(r, (1.0 - RADIAL_SLACK) * self.r_cavity)
-        hv, hd, kv, kd = self._radial_factors(r_safe.ravel())
+            raise CavityPointError("evaluation point inside the cavity")
+        hv, hd, kv, kd = self._radial_factors(r.ravel())
         orders = np.arange(-self.n_modes, self.n_modes + 1)
         ang = np.exp(1j * np.outer(theta.ravel(), orders))
+        in_fac = 1j * orders
 
-        vh = (hv * self.coeff_h[None, :] * ang)
-        vm = (kv * self.coeff_m[None, :] * ang)
-        dvh_r = (hd * self.coeff_h[None, :] * ang)
-        dvm_r = (kd * self.coeff_m[None, :] * ang)
-        in_fac = 1j * orders[None, :]
-        dvh_t = vh * in_fac
-        dvm_t = vm * in_fac
+        def modal(radial, coeff):
+            # sum over modes without a (points, modes) product array
+            return np.einsum("pn,n,pn->p", radial, coeff, ang)
 
-        v = (vh + vm).sum(axis=1)
-        w = (vm - vh).sum(axis=1)
-        dv_r = (dvh_r + dvm_r).sum(axis=1)
-        dw_r = (dvm_r - dvh_r).sum(axis=1)
-        dv_t = (dvh_t + dvm_t).sum(axis=1)
-        dw_t = (dvm_t - dvh_t).sum(axis=1)
-
+        ch, cm = self.coeff_h, self.coeff_m
+        vh, vm = modal(hv, ch), modal(kv, cm)
+        dr_h, dr_m = modal(hd, ch), modal(kd, cm)
+        dt_h, dt_m = modal(hv, ch * in_fac), modal(kv, cm * in_fac)
         ct, st = np.cos(theta.ravel()), np.sin(theta.ravel())
-        inv_r = 1.0 / r_safe.ravel()
-        grad_v = np.stack([dv_r * ct - dv_t * st * inv_r,
-                           dv_r * st + dv_t * ct * inv_r], axis=-1)
-        grad_w = np.stack([dw_r * ct - dw_t * st * inv_r,
-                           dw_r * st + dw_t * ct * inv_r], axis=-1)
+        inv_r = 1.0 / r.ravel()
+
+        def gradient(d_r, d_t):
+            return np.stack([d_r * ct - d_t * st * inv_r,
+                             d_r * st + d_t * ct * inv_r], axis=-1)
+
+        # v = v_H + v_M, w = v_M - v_H
+        grad_v = gradient(dr_m + dr_h, dt_m + dt_h)
+        grad_w = gradient(dr_m - dr_h, dt_m - dt_h)
         shape = r.shape
         return {
-            "v": v.reshape(shape),
-            "w": w.reshape(shape),
+            "v": (vm + vh).reshape(shape),
+            "w": (vm - vh).reshape(shape),
             "grad_v": grad_v.reshape(shape + (2,)),
             "grad_w": grad_w.reshape(shape + (2,)),
         }

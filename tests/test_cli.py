@@ -136,6 +136,9 @@ def test_usage_errors_exit_1(tmp_path):
                 "--out", str(tmp_path / "w")]) == 1
     for bad in (["--N", "100"], ["--alpha", "nan"], ["--kappa", "inf"]):
         assert run(["solve", *bad, "--out", str(tmp_path / "v")]) == 1
+    # a kite that is not star-shaped about the origin
+    assert run(["mesh", "--shape", "kite:0.3,0.5,0.1",
+                "--out", str(tmp_path / "k")]) == 1
 
 
 def test_numerical_failures_exit_2(tmp_path, capsys):
@@ -144,6 +147,11 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "f")]) == 2
     assert run(["mesh", "--R", "0.25", "--out", str(tmp_path / "g")]) == 2
     assert "cavity extends to radius" in capsys.readouterr().err
+    # the coarse cavity polygon puts quadrature points inside the circle
+    assert run(["solve", "--h", "0.5", "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "mesh too coarse for the series oracle" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_observed_orders_on_synthetic_data():

@@ -42,13 +42,20 @@ def test_hat_fourier_matches_quadrature_uniform(n):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("n", [0, 2, -5, 9])
+@pytest.mark.parametrize("n", [0, 2, -5, 9, (0, 2, -5, 9)])
 def test_hat_fourier_matches_quadrature_nonuniform(n):
+    # a tuple of orders is one stacked call, one row per order
     rng = np.random.default_rng(3)
     angles = np.sort(rng.uniform(0.0, 2 * math.pi, 23))
-    got = hat_fourier(angles, n)
-    ref = quad_hat_fourier(angles, n)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    got = np.atleast_2d(hat_fourier(angles, n))
+    assert got.shape == (np.size(n), len(angles))
+    for m, row in zip(np.atleast_1d(n), got):
+        single = hat_fourier(angles, int(m))
+        ref = quad_hat_fourier(angles, m)
+        bound = 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert single.shape == angles.shape
+        assert np.max(np.abs(row - single)) <= bound
+        assert np.max(np.abs(row - ref)) <= bound
 
 
 def test_hat_fourier_zero_mode_is_support_measure():

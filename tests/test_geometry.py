@@ -30,7 +30,7 @@ def test_cavity_point_parametrizations():
 
 def test_shape_validation():
     for bad in (lambda: Circle(0.0), lambda: Ellipse(-1.0, 0.2),
-                lambda: Kite(0.3, 0.0, 0.1)):
+                lambda: Kite(0.3, 0.0, 0.1), lambda: Kite(0.3, 0.5, 0.1)):
         with pytest.raises(ValueError):
             bad()
 

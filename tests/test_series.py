@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,6 +111,46 @@ def test_truncation_is_converged():
     pts = 0.45 * np.stack([np.cos(th), np.sin(th)], axis=1)
     for a, b in zip(ev25(pts), ev35(pts)):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("kappa", [math.pi, 30.0])
+def test_radial_factors_match_mpmath(kappa):
+    # H'_n = (H_{n-1} - H_{n+1}) / 2 and K'_n = -(K_{n-1} + K_{n+1}) / 2 at
+    # 40 digits: an independent route to the recurrence-based derivatives
+    n_modes = 25
+    sol = SeriesSolution.build(kappa, RHAT, ALPHA, n_modes)
+    r = np.array([0.99 * RHAT, RHAT, 0.41, 0.6])
+    got = [f[:, n_modes:] for f in sol._radial_factors(r)]  # orders 0..N
+    with mpmath.workdps(40):
+        for n in range(n_modes + 1):
+            h_ref = mpmath.hankel1(n, kappa * RHAT)
+            k_ref = mpmath.besselk(n, kappa * RHAT)
+            for i, ri in enumerate(r):
+                z = kappa * ri
+                hd = kappa * (mpmath.hankel1(n - 1, z) - mpmath.hankel1(n + 1, z)) / 2
+                kd = -kappa * (mpmath.besselk(n - 1, z) + mpmath.besselk(n + 1, z)) / 2
+                refs = (mpmath.hankel1(n, z) / h_ref, hd / h_ref,
+                        mpmath.besselk(n, z) / k_ref, kd / k_ref)
+                for g, ref in zip(got, refs):
+                    ref = complex(ref)
+                    assert abs(g[i, n] - ref) <= 1e-12 * abs(ref)
+
+
+def test_eval_polar_makes_one_call_per_bessel_family(monkeypatch):
+    from flexscat import series
+
+    calls = {"hankel1": 0, "kve": 0}
+    for name in calls:
+        original = getattr(series.special, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(series.special, name, counted)
+    sol = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25)
+    sol.eval_polar(np.linspace(0.3, 0.6, 50), np.linspace(0.0, 6.0, 50))
+    assert calls == {"hankel1": 1, "kve": 1}
 
 
 def test_points_inside_cavity_rejected():
