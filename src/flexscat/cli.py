@@ -45,15 +45,18 @@ class RunError(Exception):
 # ---------------------------------------------------------------------------
 
 def build_config_mesh(config: ScatterConfig) -> Mesh:
-    if config.mesh_path is not None:
-        return import_mesh(Path(config.mesh_path).read_text())
-    return generate_mesh_for_h(config.shape, config.R, config.h_target)
+    if config.mesh_path is None:
+        return generate_mesh_for_h(config.shape, config.R, config.h_target)
+    mesh = import_mesh(Path(config.mesh_path).read_text())
+    for note in mesh.warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    return mesh
 
 
 def solve_once(config: ScatterConfig, mesh: Mesh, scalars):
     """Solve one configuration on a given mesh with its scalar matrices."""
     tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
-    load = incident_load(mesh, config.kappa, config.R, config.alpha, config.N)
+    load = incident_load(tbc, config.kappa, config.R, config.alpha)
     system = build_system(mesh, scalars, tbc, load, config.kappa, config.method)
     w_vec, residual = solve_system(system)
     incident = IncidentField(config.kappa, config.alpha)
@@ -133,6 +136,8 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if any(v <= 0 for v in values) or list(values) != sorted(values):
         raise ConfigError("sweep values must be positive and sorted")
+    if config.oracle == "none":
+        raise ConfigError("sweep requires an oracle to report errors")
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
     scalars = assemble_all(mesh)
@@ -148,11 +153,8 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
             cfg = dataclasses.replace(config, kappa=value)
         try:
             field, _ = solve_once(cfg, mesh, scalars)
-            exact = oracle_evaluator(cfg)
-            if exact is None:
-                raise ConfigError("sweep requires an oracle to report errors")
-            reports.append(compute_errors(field, mesh, exact, cfg.method,
-                                          cfg.kappa, cfg.N))
+            reports.append(compute_errors(field, mesh, oracle_evaluator(cfg),
+                                          cfg.method, cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError) as exc:
             reports.append(None)
             failures.append(f"{parameter}={value!r}: {exc}")
@@ -178,9 +180,9 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     """Solve on successively refined meshes and report observed orders.
 
     Every level is regenerated at doubled resolution, so each mesh
-    resolves the exact curved cavity.  With the series oracle (circular
-    cavity) errors are measured against the analytic solution; otherwise
-    the truth is an interior-penalty solve on a mesh
+    resolves the exact curved cavity.  Errors are measured against the
+    configured oracle; with ``none``, or ``series`` on a non-circular
+    cavity, the truth is an interior-penalty solve on a mesh
     ``REFERENCE_EXTRA_REFINES`` refinements beyond the finest level.
     """
     if levels < 3:
@@ -193,9 +195,8 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
 
-    if isinstance(config.shape, Circle) and config.oracle == "series":
-        exact = oracle_evaluator(config)
-    else:
+    if config.oracle == "none" or (config.oracle == "series"
+                                   and not isinstance(config.shape, Circle)):
         ref_mesh = meshes[-1]
         for _ in range(REFERENCE_EXTRA_REFINES):
             ref_mesh = refine(ref_mesh)
@@ -203,6 +204,8 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
             config, method=Method.interior_penalty(config.kappa * 1e-3))
         ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh))
         exact = fe_evaluator(ref_field, ref_mesh)
+    else:
+        exact = oracle_evaluator(config)
 
     reports = []
     for mesh in meshes:
@@ -310,9 +313,15 @@ def _parse_values(args) -> list[float]:
     return list(np.logspace(math.log10(lo), math.log10(hi), int(count)))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line and exits 1."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="flexscat",
-                                     description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="flexscat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate a mesh and write it as ASCII")
@@ -341,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits with 2 on usage errors; remap to the 1 contract
-        return 0 if exc.code in (0, None) else 1
+        # --help exits 0, a usage error 1
+        return exc.code or 0
     try:
         cfg = _config_from_args(args)
         out_dir = Path(cfg.out_dir)

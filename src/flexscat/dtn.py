@@ -102,9 +102,8 @@ def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
 
     z = kappa * R
     orders = np.arange(-N, N + 1)
-    coeff_p = np.array([dtn_symbol_h(n, z) / (2.0 * math.pi) for n in orders])
-    coeff_q = np.array([dtn_symbol_k(n, z) / (2.0 * math.pi) for n in orders],
-                       dtype=complex)
+    coeff_p = dtn_symbol_h(orders, z) / (2.0 * math.pi)
+    coeff_q = (dtn_symbol_k(orders, z) / (2.0 * math.pi)).astype(complex)
     vectors = hat_fourier(angles[order], orders)[:, inv]
     p_block = (vectors.T * coeff_p) @ vectors.conj()
     q_block = (vectors.T * coeff_q) @ vectors.conj()
@@ -115,19 +114,21 @@ def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
     return TbcMatrix(p_block, q_block, orders, coeff_p, coeff_q, vectors)
 
 
-def incident_mode_coeff(n: int, kappa: float, R: float, alpha: float) -> complex:
+def incident_mode_coeff(n: int | np.ndarray, kappa: float, R: float,
+                        alpha: float) -> complex | np.ndarray:
     """Fourier coefficient G_n of g1 = d_r u_inc - T1 u_inc on Gamma_R."""
     z = kappa * R
     j = bessel_j(n, z)
-    return (1j ** n) * np.exp(-1j * n * alpha) * (
-        kappa * j.derivative - dtn_symbol_h(n, z) * j.value / R)
+    phase = np.array([1, 1j, -1, -1j])[np.asarray(n) % 4] * np.exp(-1j * n * alpha)
+    return phase * (kappa * j.derivative - dtn_symbol_h(n, z) * j.value / R)
 
 
-def incident_load(mesh: Mesh, kappa: float, R: float, alpha: float,
-                  n_modes: int) -> np.ndarray:
-    """Load vector F_j = -<g1, beta_j>_Gamma_R over T nodes (mesh order)."""
-    angles = mesh.t_angles()
-    order = np.argsort(angles)
-    orders = np.arange(-n_modes, n_modes + 1)
-    g = np.array([incident_mode_coeff(int(n), kappa, R, alpha) for n in orders])
-    return -R * (g @ hat_fourier(angles[order], orders))[np.argsort(order)]
+def incident_load(tbc: TbcMatrix, kappa: float, R: float,
+                  alpha: float) -> np.ndarray:
+    """Load vector F_j = -<g1, beta_j>_Gamma_R over T nodes (mesh order).
+
+    Pairs the incident coefficients with the hat-Fourier rows of ``tbc``,
+    so the modes and the T nodes are those the DtN blocks were built on.
+    """
+    g = incident_mode_coeff(tbc.mode_orders, kappa, R, alpha)
+    return -R * (g @ tbc.mode_vectors)

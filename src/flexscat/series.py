@@ -41,18 +41,18 @@ class CavityPointError(ValueError):
     """An evaluation point lies inside the cavity, beyond RADIAL_SLACK."""
 
 
-def boundary_data_coeffs(n: int, kappa: float, r_cavity: float,
+def boundary_data_coeffs(n: int | np.ndarray, kappa: float, r_cavity: float,
                          alpha: float) -> tuple[complex, complex]:
     """Fourier coefficients (f_n, g_n) of -u_inc and -d_r u_inc on the cavity."""
     if kappa <= 0 or r_cavity <= 0:
         raise ValueError("kappa and cavity radius must be positive")
     z = kappa * r_cavity
     j = bessel_j(n, z)
-    phase = (1j ** (n % 4)) * np.exp(-1j * n * alpha)
+    phase = np.array([1, 1j, -1, -1j])[np.asarray(n) % 4] * np.exp(-1j * n * alpha)
     return -phase * j.value, -kappa * phase * j.derivative
 
 
-def _mode_ratios(n: int, kappa: float, r_cavity: float) -> tuple[complex, float]:
+def _mode_ratios(n: int | np.ndarray, kappa: float, r_cavity: float):
     """(H_n'/H_n, K_n'/K_n) at kappa * Rhat.
 
     Derived from the ratio symbols so the exponentially small imaginary
@@ -63,13 +63,13 @@ def _mode_ratios(n: int, kappa: float, r_cavity: float) -> tuple[complex, float]
     return dtn_symbol_h(n, z) / z, dtn_symbol_k(n, z) / z
 
 
-def solve_mode(n: int, kappa: float, r_cavity: float, f_n: complex,
+def solve_mode(n: int | np.ndarray, kappa: float, r_cavity: float, f_n: complex,
                g_n: complex) -> tuple[complex, complex]:
     """Per-mode coefficients (v_H^(n), v_M^(n)) by direct 2x2 elimination."""
     rh, rk = _mode_ratios(n, kappa, r_cavity)
     det = kappa * (rk - rh)
     # second row minus rh * first row eliminates v_H
-    v_m = (g_n - kappa * rh * f_n) / det * 1.0
+    v_m = (g_n - kappa * rh * f_n) / det
     v_h = f_n - v_m
     return v_h, v_m
 
@@ -105,11 +105,8 @@ class SeriesSolution:
     def build(cls, kappa: float, r_cavity: float, alpha: float,
               n_modes: int = 25) -> "SeriesSolution":
         orders = np.arange(-n_modes, n_modes + 1)
-        ch = np.empty(len(orders), dtype=complex)
-        cm = np.empty(len(orders), dtype=complex)
-        for i, n in enumerate(orders):
-            f_n, g_n = boundary_data_coeffs(int(n), kappa, r_cavity, alpha)
-            ch[i], cm[i] = solve_mode(int(n), kappa, r_cavity, f_n, g_n)
+        f, g = boundary_data_coeffs(orders, kappa, r_cavity, alpha)
+        ch, cm = solve_mode(orders, kappa, r_cavity, f, g)
         return cls(kappa, r_cavity, alpha, n_modes, ch, cm)
 
     def _radial_factors(self, r: np.ndarray):

@@ -20,7 +20,7 @@ def solve_direct(mesh, method, kappa=KAPPA, alpha=ALPHA, radius=R, n=N_TRUNC):
     """Assemble and solve one configuration; returns (field, system)."""
     scalars = assemble_all(mesh)
     tbc = assemble_tbc(mesh, kappa, radius, n)
-    load = incident_load(mesh, kappa, radius, alpha, n)
+    load = incident_load(tbc, kappa, radius, alpha)
     system = build_system(mesh, scalars, tbc, load, kappa, method)
     w_vec, residual = solve_system(system)
     field = recover_fields(w_vec, system, mesh, IncidentField(kappa, alpha),

@@ -117,7 +117,7 @@ def sweep_errors(mesh, make_method, values):
     oracle = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25).evaluator()
     scalars = assemble_all(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
-    load = incident_load(mesh, KAPPA, R, ALPHA, 15)
+    load = incident_load(tbc, KAPPA, R, ALPHA)
     errs = []
     for value in values:
         method = make_method(value)

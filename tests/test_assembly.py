@@ -149,7 +149,7 @@ def test_global_system_complex_symmetric(coarse_circle_mesh, method):
     mesh = coarse_circle_mesh
     scalars = assemble_all(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
-    load = incident_load(mesh, KAPPA, R, math.pi / 3, 15)
+    load = incident_load(tbc, KAPPA, R, math.pi / 3)
     system = build_system(mesh, scalars, tbc, load, KAPPA, method)
     asym = system.A - system.A.T
     assert np.abs(asym.toarray()).max() == 0.0
@@ -167,7 +167,7 @@ def test_global_system_rows_match_scalar_operators(coarse_circle_mesh, method):
     mesh = coarse_circle_mesh
     scalars = assemble_all(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
-    load = incident_load(mesh, KAPPA, R, math.pi / 3, 15)
+    load = incident_load(tbc, KAPPA, R, math.pi / 3)
     system = build_system(mesh, scalars, tbc, load, KAPPA, method)
     dof = system.dof_map
     rng = np.random.default_rng(3)

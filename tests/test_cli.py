@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flexscat import cli, dtn
+from flexscat.assembly import assemble_all
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
 from flexscat.geometry import Circle, import_mesh
@@ -127,18 +129,76 @@ def test_config_file_and_flag_overrides(tmp_path):
     assert meta["config"]["h_target"] == 0.2
 
 
-def test_usage_errors_exit_1(tmp_path):
-    assert run(["solve", "--shape", "triangle:1"]) == 1
-    assert run(["solve", "--method", "mystery:1"]) == 1
-    assert run(["solve", "--config", str(tmp_path / "missing.json")]) == 1
-    assert run(["converge", "--levels", "2", "--out", str(tmp_path / "z")]) == 1
-    assert run(["analytic", "--shape", "ellipse:0.4,0.2",
-                "--out", str(tmp_path / "w")]) == 1
-    for bad in (["--N", "100"], ["--alpha", "nan"], ["--kappa", "inf"]):
-        assert run(["solve", *bad, "--out", str(tmp_path / "v")]) == 1
-    # a kite that is not star-shaped about the origin
-    assert run(["mesh", "--shape", "kite:0.3,0.5,0.1",
-                "--out", str(tmp_path / "k")]) == 1
+def test_usage_errors_exit_1(tmp_path, capsys):
+    usage_errors = [
+        ["solve", "--shape", "triangle:1"],
+        ["solve", "--method", "mystery:1"],
+        ["solve", "--bogus", "1"],
+        ["solve", "--config", str(tmp_path / "missing.json")],
+        ["converge", "--levels", "2", "--out", str(tmp_path / "z")],
+        ["analytic", "--shape", "ellipse:0.4,0.2", "--out", str(tmp_path / "w")],
+        # a kite that is not star-shaped about the origin
+        ["mesh", "--shape", "kite:0.3,0.5,0.1", "--out", str(tmp_path / "k")],
+    ] + [["solve", *bad, "--out", str(tmp_path / "v")]
+         for bad in (["--N", "100"], ["--alpha", "nan"], ["--kappa", "inf"])]
+    for argv in usage_errors:
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+    assert run(["solve", "--help"]) == 0
+
+
+def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
+    solves = []
+    original = cli.solve_system
+    monkeypatch.setattr(cli, "solve_system",
+                        lambda *args: solves.append(1) or original(*args))
+    assert run(["sweep", "--param", "gamma", "--values", "0.001,0.01",
+                "--oracle", "none", "--h", "0.2", "--out", str(tmp_path / "s")]) == 1
+    assert solves == []
+
+
+def test_converge_uses_reference_oracle(tmp_path, monkeypatch):
+    args = ["converge", "--levels", "3", "--h", "0.3", "--method", "ip:0.0031"]
+    assert run([*args, "--oracle", f"reference:{tmp_path / 'missing'}",
+                "--out", str(tmp_path / "a")]) == 1
+    ref = tmp_path / "ref"
+    assert run(["solve", "--h", "0.1", "--oracle", "none", "--out", str(ref)]) == 0
+    loaded = []
+    original = cli.load_reference
+    monkeypatch.setattr(cli, "load_reference",
+                        lambda run_dir: loaded.append(run_dir) or original(run_dir))
+    out = tmp_path / "b"
+    assert run([*args, "--oracle", f"reference:{ref}", "--out", str(out)]) == 0
+    assert loaded == [ref]
+    rows = (out / "convergence.csv").read_text().strip().splitlines()
+    assert len(rows) == 4
+
+
+def test_imported_mesh_warnings_reach_stderr(tmp_path, capsys):
+    src = tmp_path / "src"
+    assert run(["mesh", "--h", "0.2", "--out", str(src)]) == 0
+    lines = (src / "mesh.txt").read_text().splitlines()
+    first = lines.index(next(ln for ln in lines if ln.startswith("triangles"))) + 1
+    k, a, b, c = lines[first].split()
+    lines[first] = f"{k} {a} {c} {b}"  # one clockwise triangle
+    flipped = tmp_path / "flipped.txt"
+    flipped.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["solve", "--mesh", str(flipped), "--oracle", "none",
+                "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: reoriented 1 clockwise triangle(s): {k}\n")
+
+
+def test_solve_once_builds_one_hat_fourier_matrix(coarse_circle_mesh, monkeypatch):
+    calls = []
+    original = dtn.hat_fourier
+    monkeypatch.setattr(dtn, "hat_fourier",
+                        lambda *args: calls.append(1) or original(*args))
+    mesh = coarse_circle_mesh
+    cli.solve_once(ScatterConfig(oracle="none"), mesh, assemble_all(mesh))
+    assert len(calls) == 1
 
 
 def test_numerical_failures_exit_2(tmp_path, capsys):

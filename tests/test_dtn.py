@@ -146,7 +146,7 @@ def test_incident_load_matches_direct_quadrature(coarse_circle_mesh):
         g_n = incident_mode_coeff(n, KAPPA, R, ALPHA)
         ref += g_n * quad_hat_fourier(angles[order], n)[inv]
     ref *= -R
-    got = incident_load(mesh, KAPPA, R, ALPHA, n_modes)
+    got = incident_load(assemble_tbc(mesh, KAPPA, R, n_modes), KAPPA, R, ALPHA)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

@@ -54,12 +54,17 @@ def test_mode_solution_satisfies_2x2_system():
 
 
 def test_elimination_and_cramer_paths_agree():
+    sol = SeriesSolution.build(KAPPA, RHAT, ALPHA, 15)
     for n in range(-15, 16):
         f_n, g_n = boundary_data_coeffs(n, KAPPA, RHAT, ALPHA)
         a = solve_mode(n, KAPPA, RHAT, f_n, g_n)
         b = solve_mode_cramer(n, KAPPA, RHAT, f_n, g_n)
         for x, y in zip(a, b):
             assert x == pytest.approx(y, rel=1e-11, abs=1e-16)
+        # build runs the same elimination once over the order array
+        built = (sol.coeff_h[n + 15], sol.coeff_m[n + 15])
+        for x, y in zip(a, built):
+            assert x == pytest.approx(y, rel=1e-15, abs=0.0)
 
 
 def test_determinant_imaginary_part_identity():

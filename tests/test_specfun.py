@@ -96,10 +96,26 @@ def test_dtn_symbol_k_negative_real():
 
 
 def test_symbols_even_in_order():
-    for n in (1, 4, 9):
-        for z in (0.7, 2.0, 11.0):
+    orders = np.arange(-9, 10)
+    for z in (0.7, 2.0, 11.0):
+        for n in (1, 4, 9):
             assert dtn_symbol_h(-n, z) == dtn_symbol_h(n, z)
             assert dtn_symbol_k(-n, z) == dtn_symbol_k(n, z)
+        # an order array reproduces the scalar calls bit for bit
+        for f in (dtn_symbol_h, dtn_symbol_k):
+            got = f(orders, z)
+            assert list(got) == [f(int(n), z) for n in orders]
+            assert np.array_equal(got, got[::-1])
+
+
+def test_bessel_order_arrays_match_scalar_calls():
+    orders = np.arange(-20, 21)
+    for z in (0.7, 2.0, 11.0):
+        for f in (bessel_j, bessel_y, bessel_k, hankel1):
+            got = f(orders, z)
+            for n, value, derivative in zip(orders, got.value, got.derivative):
+                one = f(int(n), z)
+                assert (value, derivative) == (one.value, one.derivative)
 
 
 def test_domain_validation():
@@ -117,8 +133,14 @@ def test_domain_validation():
         bessel_j(MAX_ORDER + 1, 1.0)
     with pytest.raises(ValueError):
         bessel_j(1.5, 1.0)
+    with pytest.raises(ValueError):
+        dtn_symbol_h(np.array([0.0, 1.5, 2.0]), 1.0)
+    with pytest.raises(ValueError):
+        dtn_symbol_k(np.array([0, MAX_ORDER + 1]), 1.0)
 
 
 def test_bessel_k_overflow_raises():
     with pytest.raises(OverflowError):
         bessel_k(MAX_ORDER, 1e-8)
+    with pytest.raises(OverflowError):
+        bessel_k(np.array([0, MAX_ORDER]), 1e-8)
