@@ -20,10 +20,11 @@ import numpy as np
 
 from . import postproc
 from .assembly import AssemblyError, Method, assemble_all, build_system
-from .config import ConfigError, ScatterConfig, shape_to_dict
+from .config import (ConfigError, ScatterConfig, method_from_text,
+                     shape_from_text, shape_to_dict)
 from .dtn import IncidentField, assemble_tbc, incident_load
-from .geometry import (Circle, Ellipse, Kite, Mesh, MeshError, export_mesh,
-                       generate_mesh_for_h, import_mesh, refine)
+from .geometry import (Circle, Mesh, MeshError, export_mesh, generate_mesh_for_h,
+                       import_mesh, refine)
 from .postproc import ErrorReport, boundary_trace, compute_errors, fe_evaluator
 from .series import CavityPointError, SeriesSolution
 from .solve import SolutionField, SolverError, recover_fields, solve_system
@@ -73,10 +74,8 @@ def oracle_evaluator(config: ScatterConfig):
         sol = SeriesSolution.build(config.kappa, config.shape.radius,
                                    config.alpha, ORACLE_MODES)
         return sol.evaluator()
-    if config.oracle.startswith("reference:"):
-        ref_dir = Path(config.oracle.split(":", 1)[1])
-        return load_reference(ref_dir)
-    raise ConfigError(f"unknown oracle {config.oracle!r}")
+    # the config admits only "reference:<run dir>" beyond these two
+    return load_reference(Path(config.oracle.split(":", 1)[1]))
 
 
 def load_reference(run_dir: Path):
@@ -100,6 +99,7 @@ def _read_field_csv(text: str, mesh: Mesh) -> SolutionField:
 
 def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     """Single solve; writes mesh, field, trace, metadata, optional errors."""
+    exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
     field, system = solve_once(config, mesh, assemble_all(mesh))
@@ -111,7 +111,6 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     (out_dir / "trace.csv").write_text(postproc.trace_csv(trace))
 
     report = None
-    exact = oracle_evaluator(config)
     if exact is not None:
         report = compute_errors(field, mesh, exact, config.method,
                                 config.kappa, config.N)
@@ -134,10 +133,11 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     """One error row per parameter value; mesh and all else held fixed."""
     if parameter not in ("gamma", "eta", "kappa"):
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
-    if any(v <= 0 for v in values) or list(values) != sorted(values):
-        raise ConfigError("sweep values must be positive and sorted")
+    if not all(0 < v < math.inf for v in values) or list(values) != sorted(values):
+        raise ConfigError("sweep values must be positive, finite and sorted")
     if config.oracle == "none":
         raise ConfigError("sweep requires an oracle to report errors")
+    exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
     scalars = assemble_all(mesh)
@@ -153,8 +153,10 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
             cfg = dataclasses.replace(config, kappa=value)
         try:
             field, _ = solve_once(cfg, mesh, scalars)
-            reports.append(compute_errors(field, mesh, oracle_evaluator(cfg),
-                                          cfg.method, cfg.kappa, cfg.N))
+            # only the series oracle depends on a swept parameter (kappa)
+            oracle = oracle_evaluator(cfg) if parameter == "kappa" else exact
+            reports.append(compute_errors(field, mesh, oracle, cfg.method,
+                                          cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError) as exc:
             reports.append(None)
             failures.append(f"{parameter}={value!r}: {exc}")
@@ -189,14 +191,16 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
         raise ConfigError("convergence study needs at least 3 levels")
     if config.mesh_path is not None:
         raise ConfigError("convergence study requires a generated mesh")
+    self_reference = config.oracle == "none" or (
+        config.oracle == "series" and not isinstance(config.shape, Circle))
+    exact = None if self_reference else oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     meshes = [generate_mesh_for_h(config.shape, config.R, config.h_target)]
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
 
-    if config.oracle == "none" or (config.oracle == "series"
-                                   and not isinstance(config.shape, Circle)):
+    if self_reference:
         ref_mesh = meshes[-1]
         for _ in range(REFERENCE_EXTRA_REFINES):
             ref_mesh = refine(ref_mesh)
@@ -204,8 +208,6 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
             config, method=Method.interior_penalty(config.kappa * 1e-3))
         ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh))
         exact = fe_evaluator(ref_field, ref_mesh)
-    else:
-        exact = oracle_evaluator(config)
 
     reports = []
     for mesh in meshes:
@@ -244,38 +246,28 @@ def run_analytic(config: ScatterConfig, n_radial: int, n_angular: int,
 # ---------------------------------------------------------------------------
 
 def _parse_shape(text: str):
-    kind, _, rest = text.partition(":")
     try:
-        params = [float(x) for x in rest.split(",")] if rest else []
-        if kind == "circle" and len(params) == 1:
-            return Circle(*params)
-        if kind == "ellipse" and len(params) == 2:
-            return Ellipse(*params)
-        if kind == "kite" and len(params) == 3:
-            return Kite(*params)
-    except ValueError as exc:
+        return shape_from_text(text)
+    except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(
-        "expected circle:R, ellipse:a,b or kite:a,b,c")
 
 
 def _parse_method(text: str):
-    kind, _, rest = text.partition(":")
     try:
-        if kind == "regular" and not rest:
-            return Method.regular()
-        if kind == "ip":
-            return Method.interior_penalty(float(rest))
-        if kind == "bp":
-            return Method.boundary_penalty(float(rest))
-    except ValueError as exc:
+        return method_from_text(text)
+    except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError("expected regular, ip:<gamma> or bp:<eta>")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--kappa", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--R", type=float, dest="R")
@@ -288,28 +280,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ScatterConfig:
-    if args.config:
-        cfg = ScatterConfig.from_json(Path(args.config).read_text())
-    else:
-        cfg = ScatterConfig()
-    for key in ("kappa", "alpha", "R", "N", "h_target", "mesh_path", "oracle"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "shape", None) is not None:
-        cfg.shape = args.shape
-    if getattr(args, "method", None) is not None:
-        cfg.method = args.method
-    if args.out:
-        cfg.out_dir = args.out
-    cfg.__post_init__()
-    return cfg
+    base = (ScatterConfig.from_json(Path(args.config).read_text())
+            if args.config else ScatterConfig())
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScatterConfig)
+             if getattr(args, f.name) is not None}
+    return dataclasses.replace(base, **flags)
 
 
 def _parse_values(args) -> list[float]:
-    if args.values:
-        return [float(v) for v in args.values.split(",")]
+    if args.values is not None:
+        try:
+            return [float(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ConfigError(f"--values must be comma-separated numbers, "
+                              f"not {args.values!r}") from None
     lo, hi, count = args.logspace
+    if not (lo > 0 and hi > 0 and count >= 1 and count.is_integer()):
+        raise ConfigError("--logspace needs LO > 0, HI > 0 and a positive integer COUNT")
     return list(np.logspace(math.log10(lo), math.log10(hi), int(count)))
 
 
@@ -344,8 +331,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("analytic", help="dump the series oracle on a grid")
     _add_common(p)
-    p.add_argument("--nr", type=int, default=32)
-    p.add_argument("--ntheta", type=int, default=128)
+    p.add_argument("--nr", type=_positive_int, default=32)
+    p.add_argument("--ntheta", type=_positive_int, default=128)
 
     try:
         args = parser.parse_args(argv)
@@ -356,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         out_dir = Path(cfg.out_dir)
         if args.command == "mesh":
-            mesh = build_config_mesh(cfg)
             out_dir.mkdir(parents=True, exist_ok=True)
+            mesh = build_config_mesh(cfg)
             (out_dir / "mesh.txt").write_text(export_mesh(mesh))
             meta = {"h": mesh.h, "dofs": mesh.n_dofs,
                     "nodes": mesh.n_nodes, "triangles": mesh.n_triangles,
@@ -372,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
             run_convergence(cfg, args.levels, out_dir)
         elif args.command == "analytic":
             run_analytic(cfg, args.nr, args.ntheta, out_dir)
-    except (ConfigError, FileNotFoundError, argparse.ArgumentTypeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CavityPointError as exc:

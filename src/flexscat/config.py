@@ -7,6 +7,7 @@ truncation order 15.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,55 +21,86 @@ class ConfigError(Exception):
     pass
 
 
-def shape_to_dict(shape: CavityShape) -> dict:
-    if isinstance(shape, Circle):
-        return {"kind": "circle", "radius": shape.radius}
-    if isinstance(shape, Ellipse):
-        return {"kind": "ellipse", "a": shape.a, "b": shape.b}
-    if isinstance(shape, Kite):
-        return {"kind": "kite", "a": shape.a, "b": shape.b, "c": shape.c}
-    raise ConfigError(f"unknown shape {shape!r}")
+#: Cavity shapes by kind.  Field names are the JSON keys, and field order
+#: is the order of the values in the command-line form ``kite:a,b,c``.
+SHAPES = {"circle": Circle, "ellipse": Ellipse, "kite": Kite}
+_SHAPE_PARAMS = {kind: tuple(f.name for f in dataclasses.fields(cls))
+                 for kind, cls in SHAPES.items()}
+
+#: Methods by kind, with the name of each kind's penalty parameter.
+METHODS = {"regular": (), "ip": ("gamma",), "bp": ("eta",)}
 
 
-def shape_from_dict(d: dict) -> CavityShape:
+def _finite(name: str, value) -> float:
     try:
-        kind = d["kind"]
-        if kind == "circle":
-            return Circle(float(d["radius"]))
-        if kind == "ellipse":
-            return Ellipse(float(d["a"]), float(d["b"]))
-        if kind == "kite":
-            return Kite(float(d["a"]), float(d["b"]), float(d["c"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad shape spec {d!r}: {exc}") from exc
-    raise ConfigError(f"unknown shape kind {kind!r}")
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return value
+
+
+def _forms(table: dict) -> str:
+    return " | ".join(f"{k}:{','.join(names)}" if names else k
+                      for k, names in table.items())
+
+
+def _from_spec(family: str, table: dict, make, spec: dict):
+    """``make(kind, **params)`` from a spec dict ``{"kind": k, name: value}``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if (not isinstance(kind, str) or kind not in table
+            or set(spec) != {"kind", *table[kind]}):
+        raise ConfigError(f"bad {family} {spec!r}: expected {_forms(table)}")
+    params = {name: _finite(name, spec[name]) for name in table[kind]}
+    try:
+        return make(kind, **params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _text_spec(family: str, table: dict, text: str) -> dict:
+    """The spec dict of a command-line form ``kind:v1,v2``."""
+    kind, _, rest = text.partition(":")
+    values = rest.split(",") if rest else []
+    names = table.get(kind)
+    if names is None or len(values) != len(names):
+        raise ConfigError(f"bad {family} {text!r}: expected {_forms(table)}")
+    return {"kind": kind, **dict(zip(names, values))}
+
+
+def shape_to_dict(shape: CavityShape) -> dict:
+    kind = next(k for k, cls in SHAPES.items() if type(shape) is cls)
+    return {"kind": kind, **dataclasses.asdict(shape)}
+
+
+def shape_from_dict(spec: dict) -> CavityShape:
+    return _from_spec("shape", _SHAPE_PARAMS, lambda kind, **p: SHAPES[kind](**p), spec)
+
+
+def shape_from_text(text: str) -> CavityShape:
+    """Shape from its command-line form, e.g. ``kite:0.3,0.2,0.1``."""
+    return shape_from_dict(_text_spec("shape", _SHAPE_PARAMS, text))
 
 
 def method_to_dict(m: Method) -> dict:
-    d = {"kind": m.kind}
-    if m.kind == "ip":
-        d["gamma"] = m.gamma
-    elif m.kind == "bp":
-        d["eta"] = m.eta
-    return d
+    return {"kind": m.kind, **{name: getattr(m, name) for name in METHODS[m.kind]}}
 
 
-def method_from_dict(d: dict) -> Method:
-    try:
-        kind = d["kind"]
-        if kind == "regular":
-            return Method.regular()
-        if kind == "ip":
-            return Method.interior_penalty(float(d["gamma"]))
-        if kind == "bp":
-            return Method.boundary_penalty(float(d["eta"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad method spec {d!r}: {exc}") from exc
-    raise ConfigError(f"unknown method kind {kind!r}")
+def method_from_dict(spec: dict) -> Method:
+    return _from_spec("method", METHODS, Method, spec)
 
 
-@dataclass
+def method_from_text(text: str) -> Method:
+    """Method from its command-line form, e.g. ``ip:0.003``."""
+    return method_from_dict(_text_spec("method", METHODS, text))
+
+
+@dataclass(frozen=True)
 class ScatterConfig:
+    """One validated, immutable run setup; derive variants with
+    ``dataclasses.replace``, which validates again."""
+
     kappa: float = math.pi
     alpha: float = math.pi / 3.0
     shape: CavityShape = field(default_factory=lambda: Circle(0.3))
@@ -78,65 +110,50 @@ class ScatterConfig:
     # mesh source: either a target mesh size or an import path
     h_target: float = 0.05
     mesh_path: str | None = None
-    # oracle: "series", "none", or a path to a reference run directory
+    # oracle: "series", "none", or "reference:<dir>" of a previous run
     oracle: str = "series"
     out_dir: str = "out"
 
     def __post_init__(self):
         for name in ("kappa", "alpha", "R", "h_target"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
         if self.R <= 0:
             raise ConfigError("R must be positive")
-        if not 0 <= self.N <= MAX_ORDER:
-            raise ConfigError(f"N must be in 0..{MAX_ORDER}")
+        n = _finite("N", self.N)
+        if not n.is_integer() or not 0 <= n <= MAX_ORDER:
+            raise ConfigError(f"N must be an integer in 0..{MAX_ORDER}")
+        object.__setattr__(self, "N", int(n))
         if self.mesh_path is None and self.h_target <= 0:
             raise ConfigError("h_target must be positive")
-        self.alpha = self.alpha % (2.0 * math.pi)
+        if not (isinstance(self.out_dir, str)
+                and isinstance(self.mesh_path, (str, type(None)))):
+            raise ConfigError("out_dir must be a string, mesh_path a string or null")
+        kind, _, run_dir = str(self.oracle).partition(":")
+        if self.oracle not in ("series", "none") and not (kind == "reference" and run_dir):
+            raise ConfigError(f"oracle must be series, none or reference:<run dir>, "
+                              f"not {self.oracle!r}")
+        object.__setattr__(self, "alpha", self.alpha % (2.0 * math.pi))
 
     def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "shape": shape_to_dict(self.shape),
-            "R": self.R,
-            "N": self.N,
-            "method": method_to_dict(self.method),
-            "h_target": self.h_target,
-            "mesh_path": self.mesh_path,
-            "oracle": self.oracle,
-            "out_dir": self.out_dir,
-        }
+        return {**dataclasses.asdict(self), "shape": shape_to_dict(self.shape),
+                "method": method_to_dict(self.method)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScatterConfig":
-        cfg = cls()
-        known = {"kappa", "alpha", "R", "N", "h_target", "mesh_path",
-                 "oracle", "out_dir", "shape", "method"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("kappa", "alpha", "R", "h_target"):
-            if key in d:
-                setattr(cfg, key, float(d[key]))
-        if "N" in d:
-            cfg.N = int(d["N"])
-        for key in ("mesh_path", "oracle", "out_dir"):
-            if key in d and d[key] is not None:
-                setattr(cfg, key, str(d[key]))
-            elif key in d:
-                setattr(cfg, key, None)
+        d = dict(d)
         if "shape" in d:
-            cfg.shape = shape_from_dict(d["shape"])
+            d["shape"] = shape_from_dict(d["shape"])
         if "method" in d:
-            cfg.method = method_from_dict(d["method"])
-        cfg.__post_init__()
-        return cfg
+            d["method"] = method_from_dict(d["method"])
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "ScatterConfig":

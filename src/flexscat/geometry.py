@@ -468,40 +468,31 @@ def refine_nested(mesh: Mesh) -> Mesh:
     needs: the errors measure discretization alone, not a level-dependent
     polygonal approximation of the cavity.
     """
-    cav = mesh.cavity_loop
-    trc = mesh.truncation_loop
-    cav_edges = {(min(int(a), int(b)), max(int(a), int(b)))
-                 for a, b in zip(cav, np.roll(cav, -1))}
-    trc_edges = {(min(int(a), int(b)), max(int(a), int(b)))
-                 for a, b in zip(trc, np.roll(trc, -1))}
-    R = mesh.truncation_radius
-    new_nodes = [p for p in mesh.nodes]
-    new_class = list(mesh.node_class)
-    midpoint: dict[tuple[int, int], int] = {}
+    n = np.int64(mesh.n_nodes)
+    tris = mesh.triangles
+    # sides ab, bc, ca of each triangle in turn: the order midpoints are
+    # numbered in; sorted (lo, hi) pairs keyed lo * n + hi
+    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2),
+                    axis=1)
+    _, first, side_edge, counts = np.unique(sides[:, 0] * n + sides[:, 1],
+                                            return_index=True, return_inverse=True,
+                                            return_counts=True)
+    by_use = np.argsort(first)
+    rank = np.argsort(by_use)  # first-use number of each edge
+    ends = sides[first[by_use]]
+    p = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
+    # a boundary edge (one triangle) has two D or two T ends; Mesh checks it
+    cls = np.where(counts[by_use] == 1, mesh.node_class[ends[:, 0]], "I")
+    t = cls == "T"
+    # the row dot product rounds like the scalar np.linalg.norm
+    q = p[t]
+    p[t] = q * (mesh.truncation_radius / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0])
 
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            p = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-            if key in trc_edges:
-                p = p * (R / np.linalg.norm(p))
-                c = "T"
-            elif key in cav_edges:
-                c = "D"
-            else:
-                c = "I"
-            midpoint[key] = len(new_nodes)
-            new_nodes.append(p)
-            new_class.append(c)
-        return midpoint[key]
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    return Mesh(np.array(new_nodes), np.array(tris, dtype=np.int64),
-                np.array(new_class))
+    a, b, c = tris.T
+    ab, bc, ca = (n + rank[side_edge]).reshape(-1, 3).T
+    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return Mesh(np.vstack([mesh.nodes, p]), children.reshape(-1, 3),
+                np.concatenate([mesh.node_class, cls]))
 
 
 def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float,

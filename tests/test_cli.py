@@ -130,6 +130,14 @@ def test_config_file_and_flag_overrides(tmp_path):
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
+    configs = []
+    for k, bad in enumerate(({"kappa": "x"}, {"kappa": None}, {"N": 2.7},
+                             {"oracle": None})):
+        configs.append(tmp_path / f"bad{k}.json")
+        configs[-1].write_text(json.dumps(bad))
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    sweep = ["sweep", "--param", "gamma", "--h", "0.2", "--out", str(tmp_path / "s")]
     usage_errors = [
         ["solve", "--shape", "triangle:1"],
         ["solve", "--method", "mystery:1"],
@@ -139,22 +147,47 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["analytic", "--shape", "ellipse:0.4,0.2", "--out", str(tmp_path / "w")],
         # a kite that is not star-shaped about the origin
         ["mesh", "--shape", "kite:0.3,0.5,0.1", "--out", str(tmp_path / "k")],
+        # OS errors on the config, the mesh and the output paths
+        ["solve", "--config", str(tmp_path)],
+        ["solve", "--mesh", str(tmp_path), "--out", str(tmp_path / "m")],
+        ["mesh", "--h", "0.2", "--out", str(a_file / "x")],
+        # verb options
+        ["analytic", "--ntheta", "-1", "--out", str(tmp_path / "a")],
+        ["analytic", "--nr", "0", "--out", str(tmp_path / "a")],
+        [*sweep, "--logspace", "1e-3", "1e-1", "0"],
+        [*sweep, "--logspace", "1e-3", "1e-1", "2.5"],
+        [*sweep, "--values", "1e-3,abc"],
+        [*sweep, "--values", ",,"],
     ] + [["solve", *bad, "--out", str(tmp_path / "v")]
-         for bad in (["--N", "100"], ["--alpha", "nan"], ["--kappa", "inf"])]
+         for bad in (["--N", "100"], ["--alpha", "nan"], ["--kappa", "inf"],
+                     ["--oracle", "bogus"],
+                     *(["--config", str(path)] for path in configs))]
     for argv in usage_errors:
-        assert run(argv) == 1
+        assert run(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
     assert run(["solve", "--help"]) == 0
+    assert not (tmp_path / "a").exists() and not (tmp_path / "s").exists()
 
 
 def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
+    """Oracle errors surface before any mesh, solve or artifact."""
     solves = []
     original = cli.solve_system
     monkeypatch.setattr(cli, "solve_system",
                         lambda *args: solves.append(1) or original(*args))
-    assert run(["sweep", "--param", "gamma", "--values", "0.001,0.01",
-                "--oracle", "none", "--h", "0.2", "--out", str(tmp_path / "s")]) == 1
+    sweep = ["sweep", "--param", "gamma", "--values", "0.001,0.01", "--h", "0.2"]
+    rejected = [
+        [*sweep, "--oracle", "none"],
+        [*sweep, "--shape", "ellipse:0.4,0.2"],
+        ["solve", "--h", "0.2", "--shape", "ellipse:0.4,0.2"],
+        ["solve", "--h", "0.2", "--oracle", f"reference:{tmp_path / 'missing'}"],
+        ["solve", "--h", "0.2", "--oracle", "bogus"],
+    ]
+    for k, argv in enumerate(rejected):
+        out = tmp_path / str(k)
+        assert run([*argv, "--out", str(out)]) == 1, argv
+        assert not out.exists(), argv
     assert solves == []
 
 
@@ -173,6 +206,10 @@ def test_converge_uses_reference_oracle(tmp_path, monkeypatch):
     assert loaded == [ref]
     rows = (out / "convergence.csv").read_text().strip().splitlines()
     assert len(rows) == 4
+    # a gamma sweep loads it once too, not once per value
+    assert run(["sweep", "--param", "gamma", "--values", "0.001,0.01", "--h", "0.3",
+                "--oracle", f"reference:{ref}", "--out", str(tmp_path / "c")]) == 0
+    assert loaded == [ref, ref]
 
 
 def test_imported_mesh_warnings_reach_stderr(tmp_path, capsys):

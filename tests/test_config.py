@@ -1,5 +1,6 @@
 """Configuration round trips and validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -56,6 +57,11 @@ def test_bad_values_rejected():
         ScatterConfig.from_dict({"shape": {"kind": "square", "a": 1.0}})
     with pytest.raises(ConfigError):
         ScatterConfig.from_dict({"method": {"kind": "ip"}})
+    for bad in ({"kappa": "x"}, {"kappa": None}, {"N": 2.7}, {"oracle": "bogus"},
+                {"oracle": None}, {"out_dir": None}, {"shape": "circle:0.3"},
+                {"shape": {"kind": "circle", "radius": 0.3, "a": 1.0}}):
+        with pytest.raises(ConfigError):
+            ScatterConfig.from_dict(bad)
     with pytest.raises(ConfigError):
         ScatterConfig.from_json("[1, 2]")
     with pytest.raises(ConfigError):
@@ -65,3 +71,12 @@ def test_bad_values_rejected():
 def test_alpha_wraps_modulo_two_pi():
     cfg = ScatterConfig(alpha=2.5 * math.pi)
     assert cfg.alpha == pytest.approx(0.5 * math.pi)
+
+
+def test_config_is_frozen_and_n_integral():
+    cfg = ScatterConfig.from_dict({"N": 15.0, "kappa": 2})
+    assert cfg.N == 15 and isinstance(cfg.N, int)
+    assert cfg.kappa == 2.0 and isinstance(cfg.kappa, float)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.kappa = 3.0
+    assert dataclasses.replace(cfg, kappa=3.0).kappa == 3.0
