@@ -15,7 +15,7 @@ from .geometry import (CavityShape, Circle, Ellipse, Kite, Mesh, cavity_point,
                        export_mesh, generate_mesh, generate_mesh_for_h,
                        import_mesh, refine, refine_nested)
 from .postproc import (BoundaryTrace, ErrorReport, boundary_trace,
-                       compute_errors, evaluate_at_points, fe_evaluator)
+                       compute_errors, evaluate_at_points, exact_samples, fe_evaluator)
 from .series import SeriesSolution
 from .solve import SolutionField, recover_fields, solve_system
 from .specfun import (ValueWithDerivative, bessel_j, bessel_k, bessel_y,
@@ -27,7 +27,7 @@ __all__ = [
     "incident_load", "CavityShape", "Circle", "Ellipse", "Kite", "Mesh",
     "cavity_point", "export_mesh", "generate_mesh", "generate_mesh_for_h",
     "import_mesh", "refine", "refine_nested", "BoundaryTrace", "ErrorReport", "boundary_trace",
-    "compute_errors", "evaluate_at_points", "fe_evaluator", "SeriesSolution",
+    "compute_errors", "evaluate_at_points", "exact_samples", "fe_evaluator", "SeriesSolution",
     "SolutionField", "recover_fields", "solve_system", "ValueWithDerivative",
     "bessel_j", "bessel_k", "bessel_y", "dtn_symbol_h", "dtn_symbol_k",
     "hankel1",

@@ -75,11 +75,18 @@ def oracle_evaluator(config: ScatterConfig):
                                    config.alpha, ORACLE_MODES)
         return sol.evaluator()
     # the config admits only "reference:<run dir>" beyond these two
-    return load_reference(Path(config.oracle.split(":", 1)[1]))
+    return load_reference(Path(config.oracle.split(":", 1)[1]), config)
 
 
-def load_reference(run_dir: Path):
-    """Evaluator backed by the mesh.txt/field.csv of a previous run."""
+def load_reference(run_dir: Path, config: ScatterConfig):
+    """Evaluator backed by a previous run of the same kappa, alpha and shape."""
+    try:
+        ref = ScatterConfig.from_dict(json.loads((run_dir / "metadata.json").read_text())["config"])
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"no run config in {run_dir / 'metadata.json'}") from None
+    for name in ("kappa", "alpha", "shape"):
+        if getattr(ref, name) != getattr(config, name):
+            raise ConfigError(f"reference run {run_dir} has another {name}: {getattr(ref, name)}")
     mesh = import_mesh((run_dir / "mesh.txt").read_text())
     field = _read_field_csv((run_dir / "field.csv").read_text(), mesh)
     return fe_evaluator(field, mesh)
@@ -112,8 +119,8 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
 
     report = None
     if exact is not None:
-        report = compute_errors(field, mesh, exact, config.method,
-                                config.kappa, config.N)
+        report = compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
+                                config.method, config.kappa, config.N)
         (out_dir / "errors.csv").write_text(postproc.error_csv([report]))
 
     meta = {
@@ -137,10 +144,14 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
         raise ConfigError("sweep values must be positive, finite and sorted")
     if config.oracle == "none":
         raise ConfigError("sweep requires an oracle to report errors")
+    if parameter == "kappa" and config.oracle != "series":
+        raise ConfigError("a kappa sweep needs the series oracle (a reference has one kappa)")
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
     scalars = assemble_all(mesh)
+    # only the series oracle depends on a swept parameter (kappa)
+    samples = None if parameter == "kappa" else postproc.exact_samples(mesh, exact)
 
     reports: list[ErrorReport | None] = []
     failures: list[str] = []
@@ -153,9 +164,9 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
             cfg = dataclasses.replace(config, kappa=value)
         try:
             field, _ = solve_once(cfg, mesh, scalars)
-            # only the series oracle depends on a swept parameter (kappa)
-            oracle = oracle_evaluator(cfg) if parameter == "kappa" else exact
-            reports.append(compute_errors(field, mesh, oracle, cfg.method,
+            if parameter == "kappa":
+                samples = postproc.exact_samples(mesh, oracle_evaluator(cfg))
+            reports.append(compute_errors(field, mesh, samples, cfg.method,
                                           cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError) as exc:
             reports.append(None)
@@ -212,8 +223,8 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     reports = []
     for mesh in meshes:
         field, _ = solve_once(config, mesh, assemble_all(mesh))
-        reports.append(compute_errors(field, mesh, exact, config.method,
-                                      config.kappa, config.N))
+        reports.append(compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
+                                      config.method, config.kappa, config.N))
 
     (out_dir / "convergence.csv").write_text(postproc.error_csv(reports))
     orders = observed_orders(reports)

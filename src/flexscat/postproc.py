@@ -8,7 +8,8 @@ the exact (or reference) solution:
 
 integrated element by element with a degree-4 symmetric 6-point triangle
 rule (a degree-7 rule is kept for cross-checks).  The FE gradient is
-constant per element.
+constant per element.  ``exact_samples`` evaluates the exact side once per
+mesh and keeps the rule with the values, for any number of solves on it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _DEG7_WTS = np.array([-0.149570044467670]
                      + [0.175615257433204] * 3
                      + [0.053347235608839] * 3
                      + [0.077113760890257] * 6)
+_RULES = {"deg4": (_DEG4_PTS, _DEG4_WTS), "deg7": (_DEG7_PTS, _DEG7_WTS)}
 
 
 class PostprocError(Exception):
@@ -114,20 +116,17 @@ def _fe_gradients(mesh: Mesh, nodal: np.ndarray):
     return np.einsum("mb,mbx->mx", nodal[mesh.triangles], grads)
 
 
-def compute_errors(field: SolutionField, mesh: Mesh, exact, method: Method,
-                   kappa: float, n_trunc: int,
-                   rule: str = "deg4") -> ErrorReport:
-    """Relative L2 and H1(semi) errors of v and w against an exact evaluator.
+def exact_samples(mesh: Mesh, exact, rule: str = "deg4"):
+    """(rule, v, w, grad_v, grad_w) of ``exact(points)`` at the rule's points."""
+    return (rule, *exact(_quad_points(mesh, _RULES[rule][0])))
 
-    ``exact(points)`` must return (v, w, grad_v, grad_w) with points of
-    shape (..., 2).
-    """
-    pts_b, wts = ((_DEG4_PTS, _DEG4_WTS) if rule == "deg4"
-                  else (_DEG7_PTS, _DEG7_WTS))
+
+def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
+                   kappa: float, n_trunc: int) -> ErrorReport:
+    """Relative L2 and H1(semi) errors of v and w against ``exact_samples``."""
+    rule, v_e, w_e, gv_e, gw_e = samples
+    pts_b, wts = _RULES[rule]
     areas = mesh.areas()
-    qpts = _quad_points(mesh, pts_b)            # (M, Q, 2)
-    v_e, w_e, gv_e, gw_e = exact(qpts)
-
     v_h = _fe_values(mesh, field.v, pts_b)
     w_h = _fe_values(mesh, field.w, pts_b)
     gv_h = _fe_gradients(mesh, field.v)[:, None, :]

@@ -13,12 +13,14 @@ every n (its imaginary part is -2 / (pi Rhat |H_n^(1)(kappa Rhat)|^2)).
 
 This module is the exactness oracle for the finite element solver, so its
 truncation default (25 modes) sits well below discretization error.
-Radial factors are evaluated as ratios to dodge K_n overflow.  Each family
-is tabulated once per evaluation, by one ``hankel1`` and one
-exp-scaled ``kve`` call over the orders 0..N+1, with the reference
-argument kappa * Rhat as row 0 of the same table; the derivatives come from
-the recurrences H_n' = (n/z) H_n - H_{n+1} (DLMF 10.6.2) and
-K_n' = (n/z) K_n - K_{n+1} (DLMF 10.29.2).
+Radial factors are ratios, to dodge K_n overflow, with the reference
+argument kappa * Rhat as column 0 of each table.  scipy gives the orders 0
+and 1 (one ``hankel1``, one exp-scaled ``kve`` call); forward recurrence,
+stable for these dominant solutions (Gautschi, SIAM Rev. 9, 1967), the rest:
+H_{n+1} = (2n/z) H_n - H_{n-1} (DLMF 10.6.1), K_{n+1} = K_{n-1} + (2n/z) K_n
+(DLMF 10.29.1).  Derivatives follow from H_n' = (n/z) H_n - H_{n+1} (DLMF
+10.6.2) and K_n' = (n/z) K_n - K_{n+1} (DLMF 10.29.2).  The factors are even
+in n, so the modal sums run over n = 0..N with the +-n angular terms combined.
 """
 
 from __future__ import annotations
@@ -110,21 +112,23 @@ class SeriesSolution:
         return cls(kappa, r_cavity, alpha, n_modes, ch, cm)
 
     def _radial_factors(self, r: np.ndarray):
-        """Ratio radial factors and their r-derivatives, shape (len(r), n_modes*2+1)."""
+        """Ratio radial factors and their r-derivatives, shape (n_modes+1, len(r))."""
         z0 = self.kappa * self.r_cavity
-        # row 0 is the reference argument kappa * Rhat, rows 1.. the points
-        z = np.concatenate([[z0], self.kappa * np.asarray(r, dtype=float)])[:, None]
-        orders = np.arange(self.n_modes + 2)
+        # column 0 is the reference argument kappa * Rhat, columns 1.. the points
+        z = np.concatenate([[z0], self.kappa * np.asarray(r, dtype=float)])
+        orders = np.arange(self.n_modes + 2)[:, None]
         # K_n(z) exp(z0) from the exp-scaled kve dodges overflow; the scale
-        # is one factor per row, so the ratios and the recurrence keep it
-        tables = (special.hankel1(orders, z), special.kve(orders, z) * np.exp(z0 - z))
+        # is one factor per column, so the ratios and the recurrences keep it
+        h = list(special.hankel1(orders[:2], z))
+        k = list(special.kve(orders[:2], z) * np.exp(z0 - z))
+        for n in range(1, self.n_modes + 1):
+            h.append((2 * n / z) * h[n] - h[n - 1])
+            k.append(k[n - 1] + (2 * n / z) * k[n])
         factors = []
-        for t in tables:
-            deriv = orders[:-1] / z * t[:, :-1] - t[:, 1:]  # (n/z) Z_n - Z_{n+1}
-            factors += [t[1:, :-1] / t[0, :-1], self.kappa * deriv[1:] / t[0, :-1]]
-        # extend to negative orders (all ratios are even in n)
-        idx = np.abs(np.arange(-self.n_modes, self.n_modes + 1))
-        return tuple(f[:, idx] for f in factors)
+        for t in (np.array(h), np.array(k)):
+            deriv = orders[:-1] / z * t[:-1] - t[1:]  # (n/z) Z_n - Z_{n+1}
+            factors += [t[:-1, 1:] / t[:-1, :1], self.kappa * deriv[:, 1:] / t[:-1, :1]]
+        return tuple(factors)
 
     def eval_polar(self, r: np.ndarray, theta: np.ndarray):
         """Fields and Cartesian gradients at polar points.
@@ -137,18 +141,19 @@ class SeriesSolution:
         if np.any(r < (1.0 - RADIAL_SLACK) * self.r_cavity):
             raise CavityPointError("evaluation point inside the cavity")
         hv, hd, kv, kd = self._radial_factors(r.ravel())
-        orders = np.arange(-self.n_modes, self.n_modes + 1)
-        ang = np.exp(1j * np.outer(theta.ravel(), orders))
-        in_fac = 1j * orders
+        n = np.arange(self.n_modes + 1)[:, None]
+        ang = np.exp(1j * n * theta.ravel())
 
-        def modal(radial, coeff):
-            # sum over modes without a (points, modes) product array
-            return np.einsum("pn,n,pn->p", radial, coeff, ang)
+        def modal(value, deriv, coeff):
+            # (field, d_r, d_theta) from c_n e^{in theta} +- c_{-n} e^{-in theta}
+            plus = coeff[self.n_modes:, None] * ang
+            minus = np.r_[0, coeff[:self.n_modes][::-1]][:, None] * ang.conj()
+            even, odd = plus + minus, 1j * n * (plus - minus)
+            return [np.einsum("np,np->p", f, a)
+                    for f, a in ((value, even), (deriv, even), (value, odd))]
 
-        ch, cm = self.coeff_h, self.coeff_m
-        vh, vm = modal(hv, ch), modal(kv, cm)
-        dr_h, dr_m = modal(hd, ch), modal(kd, cm)
-        dt_h, dt_m = modal(hv, ch * in_fac), modal(kv, cm * in_fac)
+        vh, dr_h, dt_h = modal(hv, hd, self.coeff_h)
+        vm, dr_m, dt_m = modal(kv, kd, self.coeff_m)
         ct, st = np.cos(theta.ravel()), np.sin(theta.ravel())
         inv_r = 1.0 / r.ravel()
 

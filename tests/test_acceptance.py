@@ -14,8 +14,8 @@ import pytest
 
 from flexscat import (Circle, Ellipse, IncidentField, Kite, Method,
                       SeriesSolution, assemble_all, assemble_tbc, build_system,
-                      compute_errors, generate_mesh_for_h, incident_load,
-                      recover_fields, refine, solve_system)
+                      compute_errors, exact_samples, generate_mesh_for_h,
+                      incident_load, recover_fields, refine, solve_system)
 from flexscat.assembly import (assemble_boundary_penalty,
                                assemble_interior_penalty)
 from flexscat.cli import main, observed_orders
@@ -37,12 +37,13 @@ def example1():
     """Baseline circular-cavity runs near h = 0.05 for all three methods."""
     mesh = generate_mesh_for_h(Circle(RHAT), R, 0.045)
     oracle = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25).evaluator()
+    samples = exact_samples(mesh, oracle)
     out = {"mesh": mesh, "oracle": oracle}
     for key, method in (("regular", Method.regular()), ("ip", IP), ("bp", BP)):
         field, _ = solve_direct(mesh, method)
         out[key] = {
             "field": field,
-            "report": compute_errors(field, mesh, oracle, method, KAPPA, 15),
+            "report": compute_errors(field, mesh, samples, method, KAPPA, 15),
             "trace": boundary_trace(field, mesh),
         }
     return out
@@ -113,8 +114,7 @@ def sweep_mesh():
     return generate_mesh_for_h(Circle(RHAT), R, 0.05)
 
 
-def sweep_errors(mesh, make_method, values):
-    oracle = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25).evaluator()
+def sweep_errors(mesh, samples, make_method, values):
     scalars = assemble_all(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, ALPHA)
@@ -124,16 +124,18 @@ def sweep_errors(mesh, make_method, values):
         system = build_system(mesh, scalars, tbc, load, KAPPA, method)
         w_vec, res = solve_system(system)
         field = recover_fields(w_vec, system, mesh, IncidentField(KAPPA, ALPHA), res)
-        errs.append(compute_errors(field, mesh, oracle, method, KAPPA, 15).e_l2_w)
+        errs.append(compute_errors(field, mesh, samples, method, KAPPA, 15).e_l2_w)
     return np.array(errs)
 
 
 def test_criterion_5_penalty_sweep_shape(sweep_mesh):
     values = np.logspace(-4, -1, 25)
+    oracle = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25).evaluator()
+    samples = exact_samples(sweep_mesh, oracle)
     for make, lo, hi, label in (
             (Method.interior_penalty, 4.2e-3 / 3.0, 4.2e-3 * 3.0, "gamma"),
             (Method.boundary_penalty, 3.5e-3, 3.4e-2, "eta")):
-        errs = sweep_errors(sweep_mesh, make, values)
+        errs = sweep_errors(sweep_mesh, samples, make, values)
         k = int(np.argmin(errs))
         assert 0 < k < len(values) - 1, f"{label}: minimum at the sweep edge"
         assert lo <= values[k] <= hi, f"{label}: minimizer {values[k]:.3e}"
@@ -149,12 +151,13 @@ def run_study(shape, h0, levels, methods, oracle=None):
         ref = refine(refine(meshes[-1]))
         ref_field, _ = solve_direct(ref, IP)
         oracle = fe_evaluator(ref_field, ref)
+    samples = [exact_samples(mesh, oracle) for mesh in meshes]
     out = {}
     for key, method in methods.items():
         reports = []
-        for mesh in meshes:
+        for mesh, exact in zip(meshes, samples):
             field, _ = solve_direct(mesh, method)
-            reports.append(compute_errors(field, mesh, oracle, method, KAPPA, 15))
+            reports.append(compute_errors(field, mesh, exact, method, KAPPA, 15))
         out[key] = observed_orders(reports)
     return out
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flexscat import cli, dtn
+from flexscat import cli, dtn, postproc
 from flexscat.assembly import assemble_all
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
@@ -172,6 +172,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
     """Oracle errors surface before any mesh, solve or artifact."""
+    ref = tmp_path / "ref"  # a kappa = pi run
+    assert run(["solve", "--h", "0.2", "--oracle", "none", "--out", str(ref)]) == 0
     solves = []
     original = cli.solve_system
     monkeypatch.setattr(cli, "solve_system",
@@ -183,6 +185,11 @@ def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
         ["solve", "--h", "0.2", "--shape", "ellipse:0.4,0.2"],
         ["solve", "--h", "0.2", "--oracle", f"reference:{tmp_path / 'missing'}"],
         ["solve", "--h", "0.2", "--oracle", "bogus"],
+        # a reference run of another physical problem
+        ["sweep", "--param", "kappa", "--values", "2,5", "--oracle", f"reference:{ref}"],
+        ["solve", "--kappa", "8", "--oracle", f"reference:{ref}"],
+        ["solve", "--alpha", "0.5", "--oracle", f"reference:{ref}"],
+        ["solve", "--shape", "circle:0.25", "--oracle", f"reference:{ref}"],
     ]
     for k, argv in enumerate(rejected):
         out = tmp_path / str(k)
@@ -200,7 +207,7 @@ def test_converge_uses_reference_oracle(tmp_path, monkeypatch):
     loaded = []
     original = cli.load_reference
     monkeypatch.setattr(cli, "load_reference",
-                        lambda run_dir: loaded.append(run_dir) or original(run_dir))
+                        lambda run_dir, cfg: loaded.append(run_dir) or original(run_dir, cfg))
     out = tmp_path / "b"
     assert run([*args, "--oracle", f"reference:{ref}", "--out", str(out)]) == 0
     assert loaded == [ref]
@@ -210,6 +217,28 @@ def test_converge_uses_reference_oracle(tmp_path, monkeypatch):
     assert run(["sweep", "--param", "gamma", "--values", "0.001,0.01", "--h", "0.3",
                 "--oracle", f"reference:{ref}", "--out", str(tmp_path / "c")]) == 0
     assert loaded == [ref, ref]
+
+
+def test_sweep_samples_the_oracle_once(tmp_path, monkeypatch):
+    """One oracle evaluation per mesh; a kappa sweep needs one per value."""
+    ref = tmp_path / "ref"
+    assert run(["solve", "--h", "0.12", "--oracle", "none", "--out", str(ref)]) == 0
+    calls = []
+    for owner, name in ((cli.SeriesSolution, "eval_polar"), (postproc.PointLocator, "locate")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args, _name=name, _original=original:
+                            calls.append(_name) or _original(self, *args))
+    sweep = ["sweep", "--values", "0.001,0.01,0.1", "--h", "0.2"]
+    cases = [
+        ([*sweep, "--param", "gamma"], ["eval_polar"]),
+        ([*sweep, "--param", "eta"], ["eval_polar"]),
+        (["sweep", "--param", "kappa", "--values", "2,3,4", "--h", "0.2"], ["eval_polar"] * 3),
+        ([*sweep, "--param", "gamma", "--oracle", f"reference:{ref}"], ["locate"]),
+    ]
+    for k, (argv, expected) in enumerate(cases):
+        calls.clear()
+        assert run([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
+        assert calls == expected, argv
 
 
 def test_imported_mesh_warnings_reach_stderr(tmp_path, capsys):

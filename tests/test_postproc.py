@@ -9,8 +9,8 @@ from flexscat import Method, SeriesSolution
 from flexscat.geometry import Circle, generate_mesh
 from flexscat.postproc import (BoundaryTrace, ErrorReport, PointLocator,
                                PostprocError, boundary_trace, compute_errors,
-                               error_csv, evaluate_at_points, fe_evaluator,
-                               field_csv, trace_csv, vtk_field)
+                               error_csv, evaluate_at_points, exact_samples,
+                               fe_evaluator, field_csv, trace_csv, vtk_field)
 from conftest import KAPPA, RHAT, R, solve_direct
 
 
@@ -18,7 +18,8 @@ def test_zero_error_against_own_fe_evaluator(coarse_regular_solution,
                                              coarse_circle_mesh):
     field, _ = coarse_regular_solution
     exact = fe_evaluator(field, coarse_circle_mesh)
-    rep = compute_errors(field, coarse_circle_mesh, exact, Method.regular(),
+    rep = compute_errors(field, coarse_circle_mesh,
+                         exact_samples(coarse_circle_mesh, exact), Method.regular(),
                          KAPPA, 15)
     for e in (rep.e_l2_v, rep.e_h1_v, rep.e_l2_w, rep.e_h1_w):
         assert e <= 1e-10
@@ -27,7 +28,8 @@ def test_zero_error_against_own_fe_evaluator(coarse_regular_solution,
 def test_error_report_fields(coarse_regular_solution, coarse_circle_mesh):
     field, _ = coarse_regular_solution
     sol = SeriesSolution.build(KAPPA, RHAT, math.pi / 3, 25)
-    rep = compute_errors(field, coarse_circle_mesh, sol.evaluator(),
+    rep = compute_errors(field, coarse_circle_mesh,
+                         exact_samples(coarse_circle_mesh, sol.evaluator()),
                          Method.regular(), KAPPA, 15)
     assert rep.method == "regular"
     assert rep.h == coarse_circle_mesh.h
@@ -39,10 +41,9 @@ def test_error_report_fields(coarse_regular_solution, coarse_circle_mesh):
 def test_quadrature_rules_agree(coarse_regular_solution, coarse_circle_mesh):
     field, _ = coarse_regular_solution
     sol = SeriesSolution.build(KAPPA, RHAT, math.pi / 3, 25)
-    r4 = compute_errors(field, coarse_circle_mesh, sol.evaluator(),
-                        Method.regular(), KAPPA, 15, rule="deg4")
-    r7 = compute_errors(field, coarse_circle_mesh, sol.evaluator(),
-                        Method.regular(), KAPPA, 15, rule="deg7")
+    r4, r7 = (compute_errors(field, coarse_circle_mesh,
+                             exact_samples(coarse_circle_mesh, sol.evaluator(), rule),
+                             Method.regular(), KAPPA, 15) for rule in ("deg4", "deg7"))
     assert r4.e_l2_v == pytest.approx(r7.e_l2_v, rel=2e-2)
     assert r4.e_h1_v == pytest.approx(r7.e_h1_v, rel=2e-2)
 
@@ -122,7 +123,8 @@ def test_csv_exports(coarse_regular_solution, coarse_circle_mesh):
     assert len(tlines) == len(trace.params) + 1
 
     sol = SeriesSolution.build(KAPPA, RHAT, math.pi / 3, 25)
-    rep = compute_errors(field, mesh, sol.evaluator(), Method.regular(), KAPPA, 15)
+    rep = compute_errors(field, mesh, exact_samples(mesh, sol.evaluator()),
+                         Method.regular(), KAPPA, 15)
     elines = error_csv([rep]).strip().splitlines()
     assert elines[0] == ErrorReport.CSV_HEADER
     parsed = elines[1].split(",")

@@ -8,7 +8,7 @@ import pytest
 
 from flexscat.series import (RADIAL_SLACK, SeriesSolution, boundary_data_coeffs,
                              mode_determinant, solve_mode, solve_mode_cramer)
-from flexscat.specfun import hankel1
+from flexscat.specfun import MAX_ORDER, hankel1
 from flexscat.dtn import IncidentField
 
 KAPPA = math.pi
@@ -118,14 +118,20 @@ def test_truncation_is_converged():
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("kappa", [math.pi, 30.0])
-def test_radial_factors_match_mpmath(kappa):
+# ids name kappa, and N where it is not the oracle's 25
+RADIAL_CASES = [(k, n) for n in (25, MAX_ORDER) for k in (math.pi, 30.0)]
+
+
+@pytest.mark.parametrize("kappa, n_modes", RADIAL_CASES,
+                         ids=[repr(k) + ("" if n == 25 else f"-N{n}")
+                              for k, n in RADIAL_CASES])
+def test_radial_factors_match_mpmath(kappa, n_modes):
     # H'_n = (H_{n-1} - H_{n+1}) / 2 and K'_n = -(K_{n-1} + K_{n+1}) / 2 at
-    # 40 digits: an independent route to the recurrence-based derivatives
-    n_modes = 25
+    # 40 digits: an independent route to the recurrence-built tables and
+    # the derivatives taken from them
     sol = SeriesSolution.build(kappa, RHAT, ALPHA, n_modes)
     r = np.array([0.99 * RHAT, RHAT, 0.41, 0.6])
-    got = [f[:, n_modes:] for f in sol._radial_factors(r)]  # orders 0..N
+    got = sol._radial_factors(r)  # (orders 0..N, points)
     with mpmath.workdps(40):
         for n in range(n_modes + 1):
             h_ref = mpmath.hankel1(n, kappa * RHAT)
@@ -138,7 +144,36 @@ def test_radial_factors_match_mpmath(kappa):
                         mpmath.besselk(n, z) / k_ref, kd / k_ref)
                 for g, ref in zip(got, refs):
                     ref = complex(ref)
-                    assert abs(g[i, n] - ref) <= 1e-12 * abs(ref)
+                    assert abs(g[n, i] - ref) <= 1e-12 * abs(ref)
+
+
+def test_folded_sum_matches_unfolded_sum():
+    # reference: the sum over n = -N..N, each radial factor taken at |n|
+    sol = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25)
+    rng = np.random.default_rng(3)
+    r, theta = rng.uniform(RHAT, 0.6, 200), rng.uniform(-math.pi, math.pi, 200)
+    orders = np.arange(-25, 26)
+    hv, hd, kv, kd = (f[np.abs(orders)] for f in sol._radial_factors(r))
+    ang = np.exp(1j * np.outer(orders, theta))
+
+    def modal(radial, coeff):
+        return (radial * coeff[:, None] * ang).sum(axis=0)
+
+    ch, cm = sol.coeff_h, sol.coeff_m
+    v_h, v_m = modal(hv, ch), modal(kv, cm)
+    dr_h, dr_m = modal(hd, ch), modal(kd, cm)
+    dt_h, dt_m = modal(hv, 1j * orders * ch), modal(kv, 1j * orders * cm)
+
+    def gradient(d_r, d_t):
+        return np.stack([d_r * np.cos(theta) - d_t * np.sin(theta) / r,
+                         d_r * np.sin(theta) + d_t * np.cos(theta) / r], axis=-1)
+
+    want = {"v": v_m + v_h, "w": v_m - v_h,
+            "grad_v": gradient(dr_m + dr_h, dt_m + dt_h),
+            "grad_w": gradient(dr_m - dr_h, dt_m - dt_h)}
+    got = sol.eval_polar(r, theta)
+    for key, ref in want.items():
+        assert np.max(np.abs(got[key] - ref)) <= 1e-14 * np.max(np.abs(ref)), key
 
 
 def test_eval_polar_makes_one_call_per_bessel_family(monkeypatch):
