@@ -25,7 +25,8 @@ from .config import (ConfigError, ScatterConfig, method_from_text,
 from .dtn import IncidentField, assemble_tbc, incident_load
 from .geometry import (Circle, Mesh, MeshError, export_mesh, generate_mesh_for_h,
                        import_mesh, refine)
-from .postproc import ErrorReport, boundary_trace, compute_errors, fe_evaluator
+from .postproc import (ErrorReport, PostprocError, boundary_trace, compute_errors,
+                       fe_evaluator)
 from .series import CavityPointError, SeriesSolution
 from .solve import SolutionField, SolverError, recover_fields, solve_system
 
@@ -54,9 +55,8 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     return mesh
 
 
-def solve_once(config: ScatterConfig, mesh: Mesh, scalars):
-    """Solve one configuration on a given mesh with its scalar matrices."""
-    tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
+def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc):
+    """Solve one configuration on a mesh with its scalar matrices and TBC."""
     load = incident_load(tbc, config.kappa, config.R, config.alpha)
     system = build_system(mesh, scalars, tbc, load, config.kappa, config.method)
     w_vec, residual = solve_system(system)
@@ -79,12 +79,12 @@ def oracle_evaluator(config: ScatterConfig):
 
 
 def load_reference(run_dir: Path, config: ScatterConfig):
-    """Evaluator backed by a previous run of the same kappa, alpha and shape."""
+    """Evaluator backed by a previous run of the same kappa, alpha, R and shape."""
     try:
         ref = ScatterConfig.from_dict(json.loads((run_dir / "metadata.json").read_text())["config"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"no run config in {run_dir / 'metadata.json'}") from None
-    for name in ("kappa", "alpha", "shape"):
+    for name in ("kappa", "alpha", "R", "shape"):
         if getattr(ref, name) != getattr(config, name):
             raise ConfigError(f"reference run {run_dir} has another {name}: {getattr(ref, name)}")
     mesh = import_mesh((run_dir / "mesh.txt").read_text())
@@ -109,7 +109,8 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
-    field, system = solve_once(config, mesh, assemble_all(mesh))
+    tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
+    field, system = solve_once(config, mesh, assemble_all(mesh), tbc)
 
     (out_dir / "mesh.txt").write_text(export_mesh(mesh))
     (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
@@ -150,8 +151,10 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
     scalars = assemble_all(mesh)
-    # only the series oracle depends on a swept parameter (kappa)
-    samples = None if parameter == "kappa" else postproc.exact_samples(mesh, exact)
+    # only the series oracle and the TBC depend on a swept parameter (kappa)
+    if parameter != "kappa":
+        samples = postproc.exact_samples(mesh, exact)
+        tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
 
     reports: list[ErrorReport | None] = []
     failures: list[str] = []
@@ -163,9 +166,10 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
         else:
             cfg = dataclasses.replace(config, kappa=value)
         try:
-            field, _ = solve_once(cfg, mesh, scalars)
             if parameter == "kappa":
+                tbc = assemble_tbc(mesh, cfg.kappa, cfg.R, cfg.N)
                 samples = postproc.exact_samples(mesh, oracle_evaluator(cfg))
+            field, _ = solve_once(cfg, mesh, scalars, tbc)
             reports.append(compute_errors(field, mesh, samples, cfg.method,
                                           cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError) as exc:
@@ -217,12 +221,14 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
             ref_mesh = refine(ref_mesh)
         ref_cfg = dataclasses.replace(
             config, method=Method.interior_penalty(config.kappa * 1e-3))
-        ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh))
+        ref_tbc = assemble_tbc(ref_mesh, config.kappa, config.R, config.N)
+        ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh), ref_tbc)
         exact = fe_evaluator(ref_field, ref_mesh)
 
     reports = []
     for mesh in meshes:
-        field, _ = solve_once(config, mesh, assemble_all(mesh))
+        tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
+        field, _ = solve_once(config, mesh, assemble_all(mesh), tbc)
         reports.append(compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
                                       config.method, config.kappa, config.N))
 
@@ -377,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: mesh too coarse for the series oracle ({exc})",
               file=sys.stderr)
         return 2
-    except (MeshError, AssemblyError, SolverError, RunError, OverflowError) as exc:
+    except (MeshError, AssemblyError, SolverError, RunError, PostprocError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

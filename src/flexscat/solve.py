@@ -1,10 +1,13 @@
 """Direct solution of the coupled system and recovery of physical fields.
 
-The factorization is sparse LU (SuperLU through scipy) with a fill-reducing
-ordering; systems at desk scale stay small enough that robustness beats
-iteration.  A couple of iterative-refinement sweeps reuse the factors when
-grading-induced conditioning eats into the attainable residual.  After the solve, the nodal fields follow from the closed
-relations (u_inc satisfies Laplacian(u_inc) = -kappa^2 u_inc):
+A is complex symmetric, so sparse LU (SuperLU through scipy) first runs in
+symmetric mode: minimum degree on A + A^T with diagonal pivots, about half
+the fill of COLAMD.  One or two iterative-refinement sweeps reuse the
+factors to recover digits lost to pivoting and conditioning.  The gate is a
+finite solution whose normwise backward error on the original A is at most
+RESIDUAL_BOUND; an attempt that raises or misses it falls back to COLAMD
+with partial pivoting under the same gate.  The nodal fields then follow from the
+closed relations (u_inc satisfies Laplacian(u_inc) = -kappa^2 u_inc):
 
     u   = q - p                  (total displacement; 0 on the cavity)
     p_s = p + u_inc,  q_s = q    (scattered auxiliaries)
@@ -24,6 +27,10 @@ from .dtn import IncidentField
 from .geometry import Mesh
 
 RESIDUAL_BOUND = 1e-10
+
+#: splu settings in the order they are tried: symmetric mode, then COLAMD.
+FACTORIZATIONS = ({"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                   "options": {"SymmetricMode": True}}, {})
 
 
 class SolverError(Exception):
@@ -67,17 +74,11 @@ class SolutionField:
 def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
     """Solve A W = F; returns (W, relative residual).
 
-    Raises SolverError if the factorization fails or the relative residual
-    exceeds RESIDUAL_BOUND.
+    Returns the first of FACTORIZATIONS to pass the gate.  Raises SolverError
+    if none does: each factorization fails, or its solution is non-finite or
+    has a relative residual above RESIDUAL_BOUND.
     """
     A = system.A.tocsc()
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:  # singular matrix
-        raise SolverError(f"factorization failed: {exc}") from exc
-    w = lu.solve(system.F)
-    if not np.all(np.isfinite(w)):
-        raise SolverError("solver produced non-finite entries (singular system)")
     f_norm = np.linalg.norm(system.F)
     a_norm = abs(A).sum(axis=0).max()  # induced 1-norm
 
@@ -88,17 +89,29 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
         denom = a_norm * np.linalg.norm(x) + f_norm
         return float(r / denom) if denom > 0 else float(r)
 
-    residual = rel_residual(w)
-    # iterative refinement: reuse the factorization to recover digits lost
-    # to ill-conditioning on strongly graded (high aspect ratio) meshes
-    for _ in range(2):
+    for settings in FACTORIZATIONS:
+        try:
+            lu = splu(A, **settings)
+        except RuntimeError as exc:  # singular matrix
+            failure = f"factorization failed: {exc}"
+            continue
+        w = lu.solve(system.F)
+        if not np.all(np.isfinite(w)):
+            failure = "solver produced non-finite entries (singular system)"
+            continue
+        # iterative refinement reuses the factorization.  The first sweep
+        # always runs: diagonal pivots can lose digits of w (6e-9 relative on
+        # an ellipse) while the backward error stays far inside the gate.  The
+        # second recovers digits lost to ill-conditioning on graded meshes.
+        for _ in range(2):
+            w = w + lu.solve(system.F - system.A @ w)
+            residual = rel_residual(w)
+            if residual <= RESIDUAL_BOUND:
+                break
         if residual <= RESIDUAL_BOUND:
-            break
-        w = w + lu.solve(system.F - system.A @ w)
-        residual = rel_residual(w)
-    if residual > RESIDUAL_BOUND:
-        raise SolverError(f"relative residual {residual:.3e} exceeds {RESIDUAL_BOUND}")
-    return w, residual
+            return w, residual
+        failure = f"relative residual {residual:.3e} exceeds {RESIDUAL_BOUND}"
+    raise SolverError(failure)
 
 
 def recover_fields(w_vec: np.ndarray, system: BlockSystem, mesh: Mesh,

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from flexscat import cli, dtn, postproc
-from flexscat.assembly import assemble_all
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
 from flexscat.geometry import Circle, import_mesh
@@ -190,6 +189,8 @@ def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
         ["solve", "--kappa", "8", "--oracle", f"reference:{ref}"],
         ["solve", "--alpha", "0.5", "--oracle", f"reference:{ref}"],
         ["solve", "--shape", "circle:0.25", "--oracle", f"reference:{ref}"],
+        # its mesh ends at R = 0.6 and cannot cover an annulus out to 0.7
+        ["solve", "--h", "0.2", "--R", "0.7", "--oracle", f"reference:{ref}"],
     ]
     for k, argv in enumerate(rejected):
         out = tmp_path / str(k)
@@ -257,14 +258,22 @@ def test_imported_mesh_warnings_reach_stderr(tmp_path, capsys):
         f"warning: reoriented 1 clockwise triangle(s): {k}\n")
 
 
-def test_solve_once_builds_one_hat_fourier_matrix(coarse_circle_mesh, monkeypatch):
+def test_runs_build_one_hat_fourier_matrix_per_tbc(tmp_path, monkeypatch):
+    """One TBC per solve and per gamma sweep; a kappa sweep needs one per value."""
     calls = []
     original = dtn.hat_fourier
     monkeypatch.setattr(dtn, "hat_fourier",
                         lambda *args: calls.append(1) or original(*args))
-    mesh = coarse_circle_mesh
-    cli.solve_once(ScatterConfig(oracle="none"), mesh, assemble_all(mesh))
-    assert len(calls) == 1
+    sweep = ["sweep", "--values", "0.001,0.01,0.1", "--h", "0.2"]
+    cases = [
+        (["solve", "--h", "0.2"], 1),
+        ([*sweep, "--param", "gamma"], 1),
+        (["sweep", "--param", "kappa", "--values", "2,3,4", "--h", "0.2"], 3),
+    ]
+    for k, (argv, expected) in enumerate(cases):
+        calls.clear()
+        assert run([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
+        assert len(calls) == expected, argv
 
 
 def test_numerical_failures_exit_2(tmp_path, capsys):
@@ -277,6 +286,16 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     assert run(["solve", "--h", "0.5", "--out", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert "mesh too coarse for the series oracle" in err
+    assert len(err.strip().splitlines()) == 1
+    # a reference whose imported mesh ends at 0.5 cannot cover R = 0.6
+    assert run(["mesh", "--h", "0.2", "--R", "0.5", "--out", str(tmp_path / "m")]) == 0
+    assert run(["solve", "--mesh", str(tmp_path / "m" / "mesh.txt"), "--oracle", "none",
+                "--out", str(tmp_path / "ref")]) == 0
+    capsys.readouterr()
+    assert run(["solve", "--h", "0.2", "--oracle", f"reference:{tmp_path / 'ref'}",
+                "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "points outside the mesh" in err
     assert len(err.strip().splitlines()) == 1
 
 

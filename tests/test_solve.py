@@ -6,10 +6,26 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from flexscat import IncidentField, Method
-from flexscat.solve import (RESIDUAL_BOUND, SolverError, recover_fields,
-                            solve_system)
-from conftest import ALPHA, KAPPA, solve_direct
+from flexscat import (Circle, Ellipse, IncidentField, Kite, Method,
+                      generate_mesh_for_h, solve)
+from flexscat.solve import (FACTORIZATIONS, RESIDUAL_BOUND, SolverError,
+                            recover_fields, solve_system)
+from conftest import ALPHA, KAPPA, R, RHAT, solve_direct
+
+
+def record_splu(monkeypatch, symmetric=None):
+    """Log each splu call's settings; `symmetric` stands in for the symmetric one."""
+    calls = []
+    original = solve.splu
+
+    def splu(a, **settings):
+        calls.append(settings)
+        if symmetric is not None and settings == FACTORIZATIONS[0]:
+            return symmetric(a)
+        return original(a, **settings)
+
+    monkeypatch.setattr(solve, "splu", splu)
+    return calls
 
 
 def test_solution_satisfies_linear_system(coarse_regular_solution,
@@ -84,3 +100,53 @@ def test_iterative_refinement_reaches_backward_error_bound():
     w, residual = solve_system(system)
     assert residual <= RESIDUAL_BOUND
     assert np.allclose(w * diag, f)
+
+
+class _WrongFactors:
+    def __init__(self, value):
+        self.value = value
+
+    def solve(self, b):
+        return np.full_like(b, self.value)
+
+
+def _raise(a):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("symmetric", [
+    _raise,
+    lambda a: _WrongFactors(np.nan),  # non-finite solution
+    lambda a: _WrongFactors(1.0),  # finite, misses the gate after refinement
+], ids=["raises", "non-finite", "inaccurate"])
+def test_symmetric_failure_falls_back_to_colamd(coarse_regular_solution,
+                                                 monkeypatch, symmetric):
+    _, system = coarse_regular_solution
+    calls = record_splu(monkeypatch, symmetric)
+    w, residual = solve_system(system)
+    assert calls == [FACTORIZATIONS[0], {}]
+    assert residual <= RESIDUAL_BOUND
+    r = np.linalg.norm(system.A @ w - system.F) / np.linalg.norm(system.F)
+    assert r <= 1e-10
+
+
+def test_circle_solve_factors_once(coarse_circle_mesh, monkeypatch):
+    calls = record_splu(monkeypatch)
+    field, _ = solve_direct(coarse_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
+    assert calls == [FACTORIZATIONS[0]]
+    assert field.residual <= RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("shape, h, method", [
+    (Circle(RHAT), 0.05, Method.interior_penalty(KAPPA * 1e-3)),
+    (Kite(0.3, 0.2, 0.1), 0.1, Method.boundary_penalty(2.5 * KAPPA * 1e-3)),
+    (Ellipse(0.4, 0.2), 0.04, Method.regular()),
+], ids=["circle-ip", "kite-bp", "ellipse-regular"])
+def test_symmetric_and_colamd_paths_agree(monkeypatch, shape, h, method):
+    _, system = solve_direct(generate_mesh_for_h(shape, R, h), method)
+    calls = record_splu(monkeypatch)
+    w_sym, _ = solve_system(system)
+    monkeypatch.setattr(solve, "FACTORIZATIONS", FACTORIZATIONS[1:])
+    w_colamd, _ = solve_system(system)
+    assert calls == [FACTORIZATIONS[0], {}]
+    assert np.linalg.norm(w_sym - w_colamd) <= 1e-12 * np.linalg.norm(w_colamd)
