@@ -28,7 +28,8 @@ from .geometry import (Circle, Mesh, MeshError, export_mesh, generate_mesh_for_h
 from .postproc import (ErrorReport, PostprocError, boundary_trace, compute_errors,
                        fe_evaluator)
 from .series import CavityPointError, SeriesSolution
-from .solve import SolutionField, SolverError, recover_fields, solve_system
+from .solve import SolverError, recover_fields, solve_system
+from .table import format_rows
 
 #: Analytic-oracle mode count; above the FEM DtN truncation so oracle
 #: truncation error sits far below discretization error.
@@ -36,10 +37,6 @@ ORACLE_MODES = 25
 
 #: Refinements of the finest study level that give an FE reference mesh.
 REFERENCE_EXTRA_REFINES = 2
-
-
-class RunError(Exception):
-    """Numerical failure while executing a run."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +47,9 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     if config.mesh_path is None:
         return generate_mesh_for_h(config.shape, config.R, config.h_target)
     mesh = import_mesh(Path(config.mesh_path).read_text())
+    if abs(mesh.truncation_radius - config.R) > 1e-9 * config.R:
+        raise ConfigError(f"mesh {config.mesh_path} ends at radius "
+                          f"{mesh.truncation_radius!r}, not R = {config.R!r}")
     for note in mesh.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return mesh
@@ -87,21 +87,14 @@ def load_reference(run_dir: Path, config: ScatterConfig):
     for name in ("kappa", "alpha", "R", "shape"):
         if getattr(ref, name) != getattr(config, name):
             raise ConfigError(f"reference run {run_dir} has another {name}: {getattr(ref, name)}")
-    mesh = import_mesh((run_dir / "mesh.txt").read_text())
-    field = _read_field_csv((run_dir / "field.csv").read_text(), mesh)
+    path = run_dir / "mesh.txt"
+    try:
+        mesh = import_mesh(path.read_text())
+        path = run_dir / "field.csv"
+        field = postproc.read_field_csv(path.read_text(), mesh)
+    except (MeshError, PostprocError) as exc:
+        raise ConfigError(f"reference {path}: {exc}") from None
     return fe_evaluator(field, mesh)
-
-
-def _read_field_csv(text: str, mesh: Mesh) -> SolutionField:
-    rows = text.strip().splitlines()
-    if rows[0] != "node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w":
-        raise RunError("unrecognized field CSV header")
-    data = np.array([[float(v) for v in r.split(",")[4:]] for r in rows[1:]])
-    if len(data) != mesh.n_nodes:
-        raise RunError("field CSV does not match the mesh")
-    p, q, v = (data[:, k] + 1j * data[:, k + 1] for k in (0, 2, 4))
-    # v = q - p - u_inc; v and w are re-derived from it to within roundoff
-    return SolutionField(p=p, q=q, u_inc=q - p - v, residual=0.0)
 
 
 def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
@@ -250,11 +243,10 @@ def run_analytic(config: ScatterConfig, n_radial: int, n_angular: int,
     th = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
     rr, tt = np.meshgrid(r, th, indexing="ij")
     out = sol.eval_polar(rr.ravel(), tt.ravel())
-    lines = ["r,theta,Re_v,Im_v,Re_w,Im_w"]
-    for rv, tv, v, w in zip(rr.ravel(), tt.ravel(), out["v"], out["w"]):
-        rv, tv, v, w = float(rv), float(tv), complex(v), complex(w)
-        lines.append(f"{rv!r},{tv!r},{v.real!r},{v.imag!r},{w.real!r},{w.imag!r}")
-    (out_dir / "analytic.csv").write_text("\n".join(lines) + "\n")
+    v, w = out["v"], out["w"]
+    (out_dir / "analytic.csv").write_text("r,theta,Re_v,Im_v,Re_w,Im_w\n" + format_rows(
+        rr.ravel().tolist(), tt.ravel().tolist(),
+        v.real.tolist(), v.imag.tolist(), w.real.tolist(), w.imag.tolist()))
     (out_dir / "modes.csv").write_text(sol.coefficients_csv())
 
 
@@ -383,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: mesh too coarse for the series oracle ({exc})",
               file=sys.stderr)
         return 2
-    except (MeshError, AssemblyError, SolverError, RunError, PostprocError,
+    except (MeshError, AssemblyError, SolverError, PostprocError,
             OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,12 @@ solver is 2 N_I + 2 N_T + N_D.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .table import format_rows, parse_rows
 
 _CONTAINMENT_SAMPLES = 720
 
@@ -538,14 +539,41 @@ def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float,
 
 def export_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented ASCII format (inverse of import_mesh)."""
-    out = io.StringIO()
-    out.write(f"nodes {mesh.n_nodes}\n")
-    for i, ((x, y), c) in enumerate(zip(mesh.nodes, mesh.node_class), start=1):
-        out.write(f"{i} {float(x)!r} {float(y)!r} {c}\n")
-    out.write(f"triangles {mesh.n_triangles}\n")
-    for k, (a, b, c) in enumerate(mesh.triangles, start=1):
-        out.write(f"{k} {a + 1} {b + 1} {c + 1}\n")
-    return out.getvalue()
+    n, m = mesh.n_nodes, mesh.n_triangles
+    return (f"nodes {n}\n"
+            + format_rows(range(1, n + 1), *mesh.nodes.T.tolist(),
+                          mesh.node_class.tolist(), sep=" ")
+            + f"triangles {m}\n"
+            + format_rows(range(1, m + 1), *(mesh.triangles + 1).T.tolist(), sep=" "))
+
+
+def _read_block(lines: list, pos: int, word: str, types: tuple, layout: str):
+    """Typed columns and line numbers of the ``<word> <count>`` block at ``pos``."""
+    header = f"'{word} <count>'"
+    if pos >= len(lines):
+        raise MeshError(f"unexpected end of file, expected {header}")
+    (name,), (count,) = parse_rows(lines[pos:pos + 1], (str, int), header, MeshError)
+    left = len(lines) - pos - 1
+    if name != word or not 0 <= count <= left:
+        raise MeshError(f"line {lines[pos][0]}: expected {header} with a count in 0..{left}")
+    rows = lines[pos + 1:pos + 1 + count]
+    return parse_rows(rows, types, layout, MeshError), [no for no, _ in rows]
+
+
+def _reject(line_numbers: list, bad: np.ndarray, message: str) -> None:
+    """MeshError naming the line of the first row flagged in ``bad``."""
+    if np.any(bad):
+        raise MeshError(f"line {line_numbers[int(np.argmax(bad))]}: {message}")
+
+
+def _id_order(ids: list, line_numbers: list, what: str) -> np.ndarray:
+    """Row order that sorts a block by its ids, which must be 1..len(ids)."""
+    ids = np.array(ids)
+    _reject(line_numbers, (ids < 1) | (ids > len(ids)), f"{what} id out of range 1..{len(ids)}")
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    _reject(line_numbers, repeated, f"duplicate {what} id")
+    return np.argsort(ids)
 
 
 def import_mesh(text: str) -> Mesh:
@@ -554,82 +582,25 @@ def import_mesh(text: str) -> Mesh:
     Clockwise triangles are accepted and reoriented, with a note appended
     to the returned mesh's warning list.
     """
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.lstrip().startswith("#")]
-    pos = 0
+    (ids, xs, ys, cls), node_lines = _read_block(
+        lines, 0, "nodes", (int, float, float, str), "'<id> <x> <y> <class>'")
+    (tids, *conn), tri_lines = _read_block(
+        lines, len(ids) + 1, "triangles", (int,) * 4, "'<id> <n1> <n2> <n3>'")
+    end = len(ids) + len(tids) + 2
+    if end < len(lines):
+        raise MeshError(f"line {lines[end][0]}: trailing content after triangle block")
 
-    def fail(no, msg):
-        raise MeshError(f"line {no}: {msg}")
-
-    def expect_header(word):
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshError(f"unexpected end of file, expected '{word}' header")
-        no, ln = lines[pos]
-        parts = ln.split()
-        if len(parts) != 2 or parts[0] != word:
-            fail(no, f"expected '{word} <count>'")
-        try:
-            count = int(parts[1])
-        except ValueError:
-            fail(no, f"bad {word} count {parts[1]!r}")
-        pos += 1
-        return count
-
-    n_nodes = expect_header("nodes")
-    nodes = np.empty((n_nodes, 2))
-    cls = np.empty(n_nodes, dtype="<U1")
-    seen = np.zeros(n_nodes, dtype=bool)
-    for _ in range(n_nodes):
-        if pos >= len(lines):
-            raise MeshError("unexpected end of file in node block")
-        no, ln = lines[pos]
-        pos += 1
-        parts = ln.split()
-        if len(parts) != 4:
-            fail(no, "expected '<id> <x> <y> <class>'")
-        try:
-            nid = int(parts[0])
-            x, y = float(parts[1]), float(parts[2])
-        except ValueError:
-            fail(no, "bad node id or coordinate")
-        if not (1 <= nid <= n_nodes):
-            fail(no, f"node id {nid} out of range 1..{n_nodes}")
-        if seen[nid - 1]:
-            fail(no, f"duplicate node id {nid}")
-        if parts[3] not in ("I", "T", "D"):
-            fail(no, f"bad node class {parts[3]!r}")
-        seen[nid - 1] = True
-        nodes[nid - 1] = (x, y)
-        cls[nid - 1] = parts[3]
-
-    n_tris = expect_header("triangles")
-    tris = np.empty((n_tris, 3), dtype=np.int64)
-    tseen = np.zeros(n_tris, dtype=bool)
-    for _ in range(n_tris):
-        if pos >= len(lines):
-            raise MeshError("unexpected end of file in triangle block")
-        no, ln = lines[pos]
-        pos += 1
-        parts = ln.split()
-        if len(parts) != 4:
-            fail(no, "expected '<id> <n1> <n2> <n3>'")
-        try:
-            tid = int(parts[0])
-            conn = [int(p) for p in parts[1:]]
-        except ValueError:
-            fail(no, "bad triangle id or node reference")
-        if not (1 <= tid <= n_tris):
-            fail(no, f"triangle id {tid} out of range 1..{n_tris}")
-        if tseen[tid - 1]:
-            fail(no, f"duplicate triangle id {tid}")
-        for v in conn:
-            if not (1 <= v <= n_nodes):
-                fail(no, f"triangle references nonexistent node {v}")
-        tseen[tid - 1] = True
-        tris[tid - 1] = [v - 1 for v in conn]
-    if pos != len(lines):
-        fail(lines[pos][0], "trailing content after triangle block")
+    nodes, cls = np.column_stack([xs, ys]), np.array(cls, dtype=str)
+    _reject(node_lines, ~np.isfinite(nodes).all(axis=1), "node coordinates must be finite")
+    _reject(node_lines, ~np.isin(cls, ("I", "T", "D")), "node class must be I, T or D")
+    order = _id_order(ids, node_lines, "node")
+    nodes, cls = nodes[order], cls[order]
+    conn = np.array(conn).T
+    _reject(tri_lines, ((conn < 1) | (conn > len(ids))).any(axis=1),
+            f"triangle references a node outside 1..{len(ids)}")
+    tris = conn[_id_order(tids, tri_lines, "triangle")].astype(np.int64) - 1
 
     warnings = []
     p = nodes[tris]

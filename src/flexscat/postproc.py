@@ -14,9 +14,8 @@ mesh and keeps the rule with the values, for any number of solves on it.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,6 +23,7 @@ from scipy.spatial import cKDTree
 from .assembly import Method, tri_geometry
 from .geometry import Mesh
 from .solve import SolutionField
+from .table import format_rows, parse_rows
 
 # Symmetric triangle rules in barycentric coordinates, weights sum to 1.
 _DEG4_PTS = np.array([
@@ -76,13 +76,6 @@ class ErrorReport:
     e_h1_w: float
 
     CSV_HEADER = "method,kappa,gamma,eta,N,h,dofs,E_L2_v,E_H1_v,E_L2_w,E_H1_w"
-
-    def csv_row(self) -> str:
-        kappa, gamma, eta, h = (float(x) for x in
-                                (self.kappa, self.gamma, self.eta, self.h))
-        return (f"{self.method},{kappa!r},{gamma!r},{eta!r},"
-                f"{self.n_trunc},{h!r},{self.dofs},"
-                f"{self.e_l2_v!r},{self.e_h1_v!r},{self.e_l2_w!r},{self.e_h1_w!r}")
 
 
 @dataclass
@@ -143,8 +136,8 @@ def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
     e_l2_w = math.sqrt(norm2(w_e - w_h) / norm2(w_e))
     e_h1_v = math.sqrt(norm2(gv_e - gv_h) / norm2(gv_e))
     e_h1_w = math.sqrt(norm2(gw_e - gw_h) / norm2(gw_e))
-    return ErrorReport(method=method.label, kappa=kappa, gamma=method.gamma,
-                       eta=method.eta, n_trunc=n_trunc, h=mesh.h,
+    return ErrorReport(method=method.label, kappa=float(kappa), gamma=float(method.gamma),
+                       eta=float(method.eta), n_trunc=n_trunc, h=mesh.h,
                        dofs=mesh.n_dofs, e_l2_v=e_l2_v, e_h1_v=e_h1_v,
                        e_l2_w=e_l2_w, e_h1_w=e_h1_w)
 
@@ -265,49 +258,59 @@ def fe_evaluator(field: SolutionField, mesh: Mesh):
 # Export
 # ---------------------------------------------------------------------------
 
+#: Header of ``field.csv``: p, q and the derived v, w at every node.
+FIELD_CSV_HEADER = "node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w"
+
+
 def field_csv(field: SolutionField, mesh: Mesh) -> str:
-    out = io.StringIO()
-    out.write("node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w\n")
-    rows = zip(mesh.nodes.tolist(), mesh.node_class, field.p.tolist(),
-               field.q.tolist(), field.v.tolist(), field.w.tolist())
-    for i, ((x, y), c, p, q, v, w) in enumerate(rows, start=1):
-        out.write(f"{i},{x!r},{y!r},{c},"
-                  f"{p.real!r},{p.imag!r},{q.real!r},{q.imag!r},"
-                  f"{v.real!r},{v.imag!r},{w.real!r},{w.imag!r}\n")
-    return out.getvalue()
+    values = np.column_stack([field.p, field.q, field.v, field.w]).view(float)
+    return FIELD_CSV_HEADER + "\n" + format_rows(
+        range(1, mesh.n_nodes + 1), *mesh.nodes.T.tolist(), mesh.node_class.tolist(),
+        *values.T.tolist())
+
+
+def read_field_csv(text: str, mesh: Mesh) -> SolutionField:
+    """The field ``field_csv`` wrote on ``mesh``; a malformed file raises
+    PostprocError naming its first bad line."""
+    lines = text.splitlines()
+    if lines[:1] != [FIELD_CSV_HEADER]:
+        raise PostprocError("line 1: unrecognized field CSV header")
+    ids, _, _, _, *values = parse_rows(
+        enumerate(lines[1:], start=2), (int, float, float, str) + (float,) * 8,
+        f"'{FIELD_CSV_HEADER}'", PostprocError, sep=",")
+    if len(ids) != mesh.n_nodes:
+        raise PostprocError(f"{len(ids)} rows for a mesh of {mesh.n_nodes} nodes")
+    values = np.column_stack(values)
+    bad = (np.array(ids) != np.arange(1, len(ids) + 1)) | ~np.isfinite(values).all(axis=1)
+    if np.any(bad):
+        raise PostprocError(f"line {int(np.argmax(bad)) + 2}: "
+                            "node id out of order or value not finite")
+    p, q, v, _ = values.view(complex).T
+    # v = q - p - u_inc; v and w are re-derived from it to within roundoff
+    return SolutionField(p=p, q=q, u_inc=q - p - v, residual=0.0)
 
 
 def trace_csv(trace: BoundaryTrace) -> str:
-    out = io.StringIO()
-    out.write("param,Re_w,Im_w,abs_w\n")
-    for t, w in zip(trace.params, trace.w):
-        t, w = float(t), complex(w)
-        out.write(f"{t!r},{w.real!r},{w.imag!r},{abs(w)!r}\n")
-    return out.getvalue()
+    w = trace.w
+    # Python's abs(complex), not np.abs: the two can differ in the last digit
+    return "param,Re_w,Im_w,abs_w\n" + format_rows(
+        trace.params.tolist(), w.real.tolist(), w.imag.tolist(), map(abs, w.tolist()))
 
 
 def error_csv(reports: list[ErrorReport]) -> str:
-    return ErrorReport.CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in reports)
+    return ErrorReport.CSV_HEADER + "\n" + format_rows(*zip(*map(astuple, reports)))
 
 
 def vtk_field(field: SolutionField, mesh: Mesh) -> str:
     """Legacy ASCII VTK unstructured grid with Re/Im of v and w."""
-    out = io.StringIO()
-    out.write("# vtk DataFile Version 3.0\n")
-    out.write("flexural scattering field\n")
-    out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-    out.write(f"POINTS {mesh.n_nodes} double\n")
-    for x, y in mesh.nodes:
-        out.write(f"{float(x)!r} {float(y)!r} 0.0\n")
-    m = mesh.n_triangles
-    out.write(f"CELLS {m} {4 * m}\n")
-    for a, b, c in mesh.triangles:
-        out.write(f"3 {a} {b} {c}\n")
-    out.write(f"CELL_TYPES {m}\n")
-    out.write("\n".join(["5"] * m) + "\n")
-    out.write(f"POINT_DATA {mesh.n_nodes}\n")
-    for name, data in (("Re_v", field.v.real), ("Im_v", field.v.imag),
-                       ("Re_w", field.w.real), ("Im_w", field.w.imag)):
-        out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        out.write("\n".join(repr(float(x)) for x in data) + "\n")
-    return out.getvalue()
+    n, m = mesh.n_nodes, mesh.n_triangles
+    parts = ["# vtk DataFile Version 3.0\nflexural scattering field\n"
+             f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+             format_rows(*mesh.nodes.T.tolist(), [0.0] * n, sep=" "),
+             f"CELLS {m} {4 * m}\n",
+             format_rows([3] * m, *mesh.triangles.T.tolist(), sep=" "),
+             f"CELL_TYPES {m}\n", format_rows([5] * m), f"POINT_DATA {n}\n"]
+    v, w = field.v, field.w
+    for name, data in (("Re_v", v.real), ("Im_v", v.imag), ("Re_w", w.real), ("Im_w", w.imag)):
+        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", format_rows(data.tolist())]
+    return "".join(parts)

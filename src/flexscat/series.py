@@ -25,13 +25,13 @@ in n, so the modal sums run over n = 0..N with the +-n angular terms combined.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .specfun import bessel_j, dtn_symbol_h, dtn_symbol_k
+from .table import format_rows
 
 #: Points closer to the cavity than (1 - RADIAL_SLACK) * Rhat are rejected.
 #: The slack admits quadrature points of meshes whose polygonal cavity
@@ -186,10 +186,7 @@ class SeriesSolution:
 
     def coefficients_csv(self) -> str:
         """Per-mode coefficient dump (debugging aid)."""
-        out = io.StringIO()
-        out.write("n,Re_vH,Im_vH,Re_vM,Im_vM\n")
-        for n, ch, cm in zip(range(-self.n_modes, self.n_modes + 1),
-                             self.coeff_h, self.coeff_m):
-            ch, cm = complex(ch), complex(cm)
-            out.write(f"{n},{ch.real!r},{ch.imag!r},{cm.real!r},{cm.imag!r}\n")
-        return out.getvalue()
+        h, m = self.coeff_h, self.coeff_m
+        return "n,Re_vH,Im_vH,Re_vM,Im_vM\n" + format_rows(
+            range(-self.n_modes, self.n_modes + 1),
+            h.real.tolist(), h.imag.tolist(), m.real.tolist(), m.imag.tolist())

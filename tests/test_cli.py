@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     a_file = tmp_path / "file"
     a_file.write_text("")
     sweep = ["sweep", "--param", "gamma", "--h", "0.2", "--out", str(tmp_path / "s")]
+    assert run(["mesh", "--h", "0.2", "--R", "0.5", "--out", str(tmp_path / "r05")]) == 0
     usage_errors = [
         ["solve", "--shape", "triangle:1"],
         ["solve", "--method", "mystery:1"],
@@ -149,6 +151,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         # OS errors on the config, the mesh and the output paths
         ["solve", "--config", str(tmp_path)],
         ["solve", "--mesh", str(tmp_path), "--out", str(tmp_path / "m")],
+        # an imported mesh that ends at R = 0.5, not at the configured 0.6
+        ["solve", "--mesh", str(tmp_path / "r05" / "mesh.txt"), "--oracle", "none",
+         "--out", str(tmp_path / "m")],
         ["mesh", "--h", "0.2", "--out", str(a_file / "x")],
         # verb options
         ["analytic", "--ntheta", "-1", "--out", str(tmp_path / "a")],
@@ -169,10 +174,23 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not (tmp_path / "a").exists() and not (tmp_path / "s").exists()
 
 
-def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
+def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch, capsys):
     """Oracle errors surface before any mesh, solve or artifact."""
     ref = tmp_path / "ref"  # a kappa = pi run
     assert run(["solve", "--h", "0.2", "--oracle", "none", "--out", str(ref)]) == 0
+    field = (ref / "field.csv").read_text()
+    row = field.splitlines()[1]
+    damaged = {  # a row missing a column, a value that is not a number, no content
+        "field.csv": [field.replace(row, row[:row.rindex(",")]),
+                      field.replace(row, row[:row.rindex(",")] + ",x"), ""],
+        "mesh.txt": ["nodes 3\n"],
+    }
+    broken_refs = []
+    for name, texts in damaged.items():
+        for text in texts:
+            broken_refs.append(tmp_path / f"broken{len(broken_refs)}")
+            shutil.copytree(ref, broken_refs[-1])
+            (broken_refs[-1] / name).write_text(text)
     solves = []
     original = cli.solve_system
     monkeypatch.setattr(cli, "solve_system",
@@ -191,11 +209,16 @@ def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch):
         ["solve", "--shape", "circle:0.25", "--oracle", f"reference:{ref}"],
         # its mesh ends at R = 0.6 and cannot cover an annulus out to 0.7
         ["solve", "--h", "0.2", "--R", "0.7", "--oracle", f"reference:{ref}"],
+        # a reference whose field or mesh file is malformed
+        *(["solve", "--h", "0.2", "--oracle", f"reference:{broken}"] for broken in broken_refs),
     ]
     for k, argv in enumerate(rejected):
         out = tmp_path / str(k)
+        capsys.readouterr()
         assert run([*argv, "--out", str(out)]) == 1, argv
         assert not out.exists(), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
     assert solves == []
 
 
@@ -287,8 +310,8 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mesh too coarse for the series oracle" in err
     assert len(err.strip().splitlines()) == 1
-    # a reference whose imported mesh ends at 0.5 cannot cover R = 0.6
-    assert run(["mesh", "--h", "0.2", "--R", "0.5", "--out", str(tmp_path / "m")]) == 0
+    # a reference whose mesh has a 0.4 cavity cannot cover the 0.3..0.4 ring
+    assert run(["mesh", "--h", "0.2", "--shape", "circle:0.4", "--out", str(tmp_path / "m")]) == 0
     assert run(["solve", "--mesh", str(tmp_path / "m" / "mesh.txt"), "--oracle", "none",
                 "--out", str(tmp_path / "ref")]) == 0
     capsys.readouterr()
@@ -297,6 +320,14 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "points outside the mesh" in err
     assert len(err.strip().splitlines()) == 1
+    # a mesh file with a coordinate that is not finite
+    lines = (tmp_path / "m" / "mesh.txt").read_text().splitlines()
+    lines[1] = lines[1].replace(lines[1].split()[1], "nan")
+    (tmp_path / "nan.txt").write_text("\n".join(lines) + "\n")
+    assert run(["solve", "--mesh", str(tmp_path / "nan.txt"), "--oracle", "none",
+                "--out", str(tmp_path / "n")]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: line 2: node coordinates must be finite\n")
 
 
 def test_observed_orders_on_synthetic_data():

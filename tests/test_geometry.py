@@ -202,6 +202,20 @@ def test_import_rejects_broken_meshes():
         import_mesh(text.replace(" T", " X", 1))
     with pytest.raises(MeshError):
         import_mesh("not a mesh\n")
+    lines = text.splitlines()
+    x = lines[1].split()[1]
+    first_triangle = mesh.n_nodes + 2
+    broken = {
+        1: [text.replace(f"nodes {mesh.n_nodes}", "nodes -1"),
+            text.replace(f"nodes {mesh.n_nodes}", "nodes 99999999999999")],
+        2: [text.replace(f" {x} ", f" {bad} ", 1) for bad in ("nan", "inf", "-1e999")],
+        first_triangle: [text.replace(lines[first_triangle - 1],
+                                      f"1 1 2 {99999999999999999999999}")],
+    }
+    for line, texts in broken.items():
+        for bad in texts:
+            with pytest.raises(MeshError, match=f"^line {line}: "):
+                import_mesh(bad)
 
 
 def test_validation_catches_inverted_and_misclassified():

@@ -10,7 +10,8 @@ from flexscat.geometry import Circle, generate_mesh
 from flexscat.postproc import (BoundaryTrace, ErrorReport, PointLocator,
                                PostprocError, boundary_trace, compute_errors,
                                error_csv, evaluate_at_points, exact_samples,
-                               fe_evaluator, field_csv, trace_csv, vtk_field)
+                               fe_evaluator, field_csv, read_field_csv, trace_csv,
+                               vtk_field)
 from conftest import KAPPA, RHAT, R, solve_direct
 
 
@@ -130,6 +131,14 @@ def test_csv_exports(coarse_regular_solution, coarse_circle_mesh):
     parsed = elines[1].split(",")
     assert parsed[0] == "regular"
     assert float(parsed[7]) == rep.e_l2_v
+
+
+def test_field_csv_round_trip_is_bit_exact(coarse_regular_solution, coarse_circle_mesh):
+    field, _ = coarse_regular_solution
+    back = read_field_csv(field_csv(field, coarse_circle_mesh), coarse_circle_mesh)
+    for name in ("p", "q"):
+        assert getattr(back, name).tobytes() == getattr(field, name).tobytes()
+    assert np.allclose(back.v, field.v, rtol=0, atol=1e-14)
 
 
 def test_vtk_export_structure(coarse_regular_solution, coarse_circle_mesh):
