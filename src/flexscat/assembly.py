@@ -27,6 +27,7 @@ direct solver and the sign-structure tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,10 @@ class AssemblyError(Exception):
 
 @dataclass(frozen=True)
 class Method:
-    """Stabilization choice: 'regular', 'ip' (gamma > 0), or 'bp' (eta > 0)."""
+    """Stabilization choice: 'regular', 'ip' (gamma > 0), or 'bp' (eta > 0).
+
+    Each kind carries only its own finite penalty; the other stays 0.
+    """
 
     kind: str
     gamma: float = 0.0
@@ -61,12 +65,12 @@ class Method:
     def __post_init__(self):
         if self.kind not in ("regular", "ip", "bp"):
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.kind == "ip" and self.gamma <= 0:
-            raise ValueError("interior penalty requires gamma > 0")
-        if self.kind == "bp" and self.eta <= 0:
-            raise ValueError("boundary penalty requires eta > 0")
-        if self.kind == "regular" and (self.gamma or self.eta):
-            raise ValueError("regular method has no penalty parameters")
+        for name, own in (("gamma", self.kind == "ip"), ("eta", self.kind == "bp")):
+            value = getattr(self, name)
+            if own and not 0 < value < math.inf:
+                raise ValueError(f"{self.label} method requires a finite {name} > 0")
+            if not own and value != 0:
+                raise ValueError(f"{self.label} method takes no {name}")
 
     @staticmethod
     def regular() -> "Method":
@@ -272,11 +276,9 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
     if tbc.p_block.shape != (nt, nt) or len(load_t) != nt:
         raise AssemblyError("TBC/load dimensions do not match the mesh T nodes")
 
-    gamma = method.gamma if method.kind == "ip" else 0.0
-    eta = method.eta if method.kind == "bp" else 0.0
-    b1 = (scalars.kbar - kappa**2 * scalars.mbar - gamma * scalars.kbar_j
-          - eta * scalars.kg)
-    b2 = scalars.kbar + kappa**2 * scalars.mbar + gamma * scalars.kbar_j
+    b1 = (scalars.kbar - kappa**2 * scalars.mbar - method.gamma * scalars.kbar_j
+          - method.eta * scalars.kg)
+    b2 = scalars.kbar + kappa**2 * scalars.mbar + method.gamma * scalars.kbar_j
 
     # P maps the unknowns to nodal (p, q); a D node's p and q share a column
     n = mesh.n_nodes

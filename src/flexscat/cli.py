@@ -27,7 +27,7 @@ from .geometry import (Circle, Mesh, MeshError, export_mesh, generate_mesh_for_h
                        import_mesh, refine)
 from .postproc import (ErrorReport, PostprocError, boundary_trace, compute_errors,
                        fe_evaluator)
-from .series import CavityPointError, SeriesSolution
+from .series import RADIAL_SLACK, CavityPointError, SeriesSolution
 from .solve import SolverError, recover_fields, solve_system
 from .table import format_rows
 
@@ -53,6 +53,18 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     for note in mesh.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return mesh
+
+
+def check_series_cavity(config: ScatterConfig, mesh: Mesh) -> None:
+    """An imported mesh must have the cavity that the series oracle solves for."""
+    if config.oracle != "series" or config.mesh_path is None:
+        return
+    rhat = config.shape.radius
+    r = np.linalg.norm(mesh.nodes[mesh.d_nodes], axis=1)
+    worst = float(r[np.argmax(np.abs(r - rhat))])
+    if abs(worst - rhat) > RADIAL_SLACK * rhat:
+        raise ConfigError(f"mesh {config.mesh_path} has a cavity node at radius {worst:.6g}, "
+                          f"not on the series oracle's circle of radius {rhat!r}")
 
 
 def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc):
@@ -102,6 +114,7 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
+    check_series_cavity(config, mesh)
     tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
     field, system = solve_once(config, mesh, assemble_all(mesh), tbc)
 
@@ -143,6 +156,7 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
+    check_series_cavity(config, mesh)
     scalars = assemble_all(mesh)
     # only the series oracle and the TBC depend on a swept parameter (kappa)
     if parameter != "kappa":

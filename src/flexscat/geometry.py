@@ -2,14 +2,18 @@
 
 The computational domain is the annulus Omega = B_R \\ cavity.  Meshes are
 generated by a structured radial blend between the sampled cavity boundary
-and the truncation circle: node(i, j) sits at
+and the truncation circle: node (i, j) sits at
 
-    (1 - t_i) * gamma(theta_j) + t_i * R * (cos theta_j, sin theta_j),
+    (1 - s_ij) * gamma(t_j) + s_ij * R * gamma(t_j) / |gamma(t_j)|,
 
-with t_i = i / n_radial and theta_j = 2 pi j / n_angular, each quad split
-into two triangles along its shorter diagonal.  This covers every
-star-shaped cavity; arbitrary triangulations enter through the ASCII
-import format.
+so node column j lies on the ray through its cavity node gamma(t_j).  The
+curve parameters t_j equidistribute curvature times arc speed (floored at
+1/R; t_j = 2 pi j / n_angular on a circle).  The per-ray exponent beta_j in
+s_ij = (i / n_radial)^beta_j matches the first layer to the cavity node
+spacing (beta = 1 on a circle).  Quads split along their shorter diagonal.
+generate_mesh_for_h sizes n_angular on node arrays and builds one Mesh.
+This covers every star-shaped cavity; arbitrary triangulations enter
+through the ASCII import format.
 
 Node classes: 'I' interior, 'T' on the truncation circle Gamma_R, 'D' on
 the cavity boundary.  The unknown-vector dimension of the scattering
@@ -26,6 +30,9 @@ import numpy as np
 from .table import format_rows, parse_rows
 
 _CONTAINMENT_SAMPLES = 720
+
+#: Largest n_angular the h-driven search tries.
+MAX_ANGULAR = 8192
 
 
 class MeshError(Exception):
@@ -108,21 +115,17 @@ def _check_star_shaped(shape: CavityShape) -> None:
         raise ValueError("cavity boundary is not star-shaped about the origin")
 
 
-def _check_contained(shape: CavityShape, R: float) -> None:
-    t = np.linspace(0.0, 2.0 * math.pi, _CONTAINMENT_SAMPLES, endpoint=False)
-    pts = cavity_point(shape, t)
-    rmax = float(np.hypot(pts[:, 0], pts[:, 1]).max())
-    if rmax >= R:
-        raise MeshError(
-            f"cavity extends to radius {rmax:.6g}, not strictly inside R = {R}")
-
-
 def cavity_min_gap(shape: CavityShape, R: float) -> float:
-    """Largest radial distance from the cavity boundary to Gamma_R."""
+    """Largest radial distance from the cavity boundary to Gamma_R.
+
+    Raises MeshError unless the cavity lies strictly inside Gamma_R.
+    """
     t = np.linspace(0.0, 2.0 * math.pi, _CONTAINMENT_SAMPLES, endpoint=False)
     pts = cavity_point(shape, t)
     r = np.hypot(pts[:, 0], pts[:, 1])
-    return float((R - r).max())
+    if r.max() >= R:
+        raise MeshError(f"cavity extends to radius {r.max():.6g}, not strictly inside R = {R}")
+    return float(R - r.min())
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +205,15 @@ class Mesh:
     @property
     def h(self) -> float:
         """Mesh size: the maximum edge length over all triangle edges."""
-        p = self.nodes[self.triangles]
-        e = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
-        return float(e.max())
+        return _longest_side(self.nodes[self.triangles])
 
     def t_angles(self) -> np.ndarray:
         """Polar angles of the T nodes (mesh node order), in [0, 2 pi)."""
         pts = self.nodes[self.t_nodes]
         return np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
 
-    def d_params(self) -> np.ndarray:
-        """Boundary parameters (polar angles) of the D nodes, mesh order."""
-        pts = self.nodes[self.d_nodes]
-        return np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
-
     def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return _signed_areas(self.nodes[self.triangles])
 
     @property
     def truncation_radius(self) -> float:
@@ -298,8 +292,7 @@ class Mesh:
         areas = self.areas()
         if np.any(areas <= 0):
             raise MeshError(f"{int(np.sum(areas <= 0))} triangles have non-positive area")
-        if np.any((self.node_class != "I") & (self.node_class != "T")
-                  & (self.node_class != "D")):
+        if not np.isin(self.node_class, ("I", "T", "D")).all():
             raise MeshError("unknown node class")
         off_loop = self.node_class != "I"
         off_loop[self.cavity_loop] = False
@@ -310,44 +303,23 @@ class Mesh:
         r = np.linalg.norm(self.nodes[self.t_nodes], axis=1)
         if len(r) and (r.max() - r.min()) > 1e-12 * r.mean():
             raise MeshError("T nodes do not lie on a common circle")
-        if self.generator is not None:
-            if abs(r.mean() - self.generator.R) > 1e-12 * self.generator.R:
-                raise MeshError("T nodes off the truncation circle")
-            th = self.d_params()
-            expect = cavity_point(self.generator.shape, _radius_params(
-                self.generator.shape, th))
-            err = np.linalg.norm(self.nodes[self.d_nodes] - expect, axis=1)
-            scale = np.linalg.norm(self.nodes[self.d_nodes], axis=1)
-            if np.any(err > 1e-9 * np.maximum(scale, 1.0)):
-                raise MeshError("D nodes off the cavity curve")
 
 
-def _radius_params(shape: CavityShape, angles: np.ndarray) -> np.ndarray:
-    """Parameters t such that cavity_point(shape, t) has the given polar angles."""
-    if isinstance(shape, (Circle, Ellipse)):
-        if isinstance(shape, Circle):
-            return angles
-        return np.arctan2(shape.a * np.sin(angles), shape.b * np.cos(angles)) % (2 * math.pi)
-    # general star-shaped curve: bisection on the (monotone) angle of gamma(t)
-    angles = np.asarray(angles, dtype=float)
-    psi0 = float(math.atan2(*cavity_point(shape, 0.0)[::-1]))
-    target = (angles - psi0) % (2.0 * math.pi)
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, 2.0 * math.pi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        p = np.atleast_2d(cavity_point(shape, mid))
-        ang = (np.arctan2(p[:, 1], p[:, 0]) - psi0) % (2.0 * math.pi)
-        below = ang.reshape(target.shape) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _signed_areas(p: np.ndarray) -> np.ndarray:
+    """Areas of triangles p (M, 3, 2), positive when counter-clockwise."""
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
+def _longest_side(p: np.ndarray) -> float:
+    """Longest side over all triangles p (M, 3, 2)."""
+    return float(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max())
 
 
 #: Dense sampling used to tabulate arc length and curvature for grading.
 _GRADING_SAMPLES = 4096
 
-#: Radial layers cluster toward the cavity as t_i = (i / n)^beta per ray,
+#: Radial layers cluster toward the cavity as s_i = (i / n)^beta per ray,
 #: capped so strongly curved cavities (sharp bending-moment peaks) get thin
 #: boundary layers without degenerate outer cells.
 _RADIAL_GRADING_BETA_MAX = 2.6
@@ -376,15 +348,16 @@ def _radial_grading_exponents(shape: CavityShape, inner: np.ndarray,
     return np.clip(np.nan_to_num(beta, nan=1.0), 1.0, _RADIAL_GRADING_BETA_MAX)
 
 
-def _graded_angles(shape: CavityShape, R: float, n_angular: int) -> np.ndarray:
-    """Angular samples graded by cavity curvature; uniform for a circle.
+def _graded_params(shape: CavityShape, R: float, n_angular: int) -> np.ndarray:
+    """Curve parameters of the cavity nodes, graded by curvature.
 
     Spacing follows the equidistribution density curvature * arc speed,
     floored at the truncation circle's curvature 1/R, so curvature-scale
     solution features (bending-moment peaks) stay resolved along
-    high-curvature cavities.
+    high-curvature cavities.  Uniform for a circle.
     """
     if isinstance(shape, Circle):
+        # not 2 pi * (j / n): that rounds differently and flips tied diagonals
         return 2.0 * math.pi * np.arange(n_angular) / n_angular
     m = _GRADING_SAMPLES
     dt = 2.0 * math.pi / m
@@ -394,37 +367,29 @@ def _graded_angles(shape: CavityShape, R: float, n_angular: int) -> np.ndarray:
     d2 = (np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)) / dt ** 2
     speed = np.hypot(d1[:, 0], d1[:, 1])
     curv = np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed ** 3
-    phi = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
     density = speed * np.maximum(curv, 1.0 / R)
     cdf = np.concatenate([[0.0], np.cumsum(density)])
     cdf /= cdf[-1]
-    phi_grid = np.concatenate([phi, [phi[0] + 2.0 * math.pi]])
     u = np.arange(n_angular) / n_angular
-    return np.interp(u, cdf, phi_grid)
+    return np.interp(u, cdf, np.append(t, 2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
 # Generation / refinement
 # ---------------------------------------------------------------------------
 
-def generate_mesh(shape: CavityShape, R: float, n_radial: int,
-                  n_angular: int) -> Mesh:
-    """Structured radial-blend mesh of the annulus B_R minus the cavity."""
-    if n_radial < 2:
-        raise ValueError("n_radial must be at least 2")
-    if n_angular < 8:
-        raise ValueError("n_angular must be at least 8")
-    _check_contained(shape, R)
-
-    theta = _graded_angles(shape, R, n_angular)
-    # place the cavity node on the ray of angle theta_j so every blend
-    # segment is radial; nonconvex star-shaped cavities stay untangled
-    inner = cavity_point(shape, _radius_params(shape, theta))  # (n_angular, 2)
-    outer = R * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+def _structured(shape: CavityShape, R: float, n_radial: int, n_angular: int):
+    """Nodes, counter-clockwise triangles and node classes of the radial blend."""
+    t = _graded_params(shape, R, n_angular)
+    inner = cavity_point(shape, t)  # (n_angular, 2)
+    # each node column lies on the ray through its cavity node, so every
+    # blend segment is radial; nonconvex star-shaped cavities stay untangled
+    psi = t if isinstance(shape, Circle) else np.arctan2(inner[:, 1], inner[:, 0])
+    outer = R * np.stack([np.cos(psi), np.sin(psi)], axis=1)
     beta = _radial_grading_exponents(shape, inner, outer, n_radial)
     frac = np.arange(n_radial + 1) / n_radial
-    t = (frac[:, None] ** beta[None, :])[..., None]  # (n_radial+1, n_angular, 1)
-    nodes = ((1.0 - t) * inner[None] + t * outer[None]).reshape(-1, 2)
+    s = (frac[:, None] ** beta[None, :])[..., None]  # (n_radial+1, n_angular, 1)
+    nodes = ((1.0 - s) * inner[None] + s * outer[None]).reshape(-1, 2)
 
     i, j = np.divmod(np.arange(n_radial * n_angular), n_angular)
     jn = (j + 1) % n_angular
@@ -446,7 +411,18 @@ def generate_mesh(shape: CavityShape, R: float, n_radial: int,
     cls = np.full(len(nodes), "I", dtype="<U1")
     cls[:n_angular] = "D"
     cls[n_radial * n_angular:] = "T"
-    return Mesh(nodes, triangles.reshape(-1, 3), cls,
+    return nodes, triangles.reshape(-1, 3), cls
+
+
+def generate_mesh(shape: CavityShape, R: float, n_radial: int,
+                  n_angular: int) -> Mesh:
+    """Structured radial-blend mesh of the annulus B_R minus the cavity."""
+    if n_radial < 2:
+        raise ValueError("n_radial must be at least 2")
+    if n_angular < 8:
+        raise ValueError("n_angular must be at least 8")
+    cavity_min_gap(shape, R)  # raises unless the cavity fits inside Gamma_R
+    return Mesh(*_structured(shape, R, n_radial, n_angular),
                 generator=_Generator(shape, R, n_radial, n_angular))
 
 
@@ -496,41 +472,37 @@ def refine_nested(mesh: Mesh) -> Mesh:
                 np.concatenate([mesh.node_class, cls]))
 
 
-def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float,
-                        max_angular: int = 8192) -> Mesh:
-    """Smallest structured mesh (by n_angular bisection) with h <= h_target."""
+def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float) -> Mesh:
+    """Smallest structured mesh with h <= h_target, by n_angular bisection on node arrays."""
     if h_target <= 0:
         raise ValueError("h_target must be positive")
     # containment errors are no under-resolution: report them, not a failed search
-    _check_contained(shape, R)
     gap = cavity_min_gap(shape, R)
+    unreachable = f"cannot reach h <= {h_target} with n_angular <= {MAX_ANGULAR}"
+    # truncation chords are triangle sides: h >= 2 R sin(pi / n_angular)
+    if MAX_ANGULAR * math.asin(min(1.0, h_target / (2.0 * R))) < math.pi:
+        raise MeshError(unreachable)
     factor = 1.0 if isinstance(shape, Circle) else _RADIAL_COUNT_FACTOR
     n_radial = max(2, math.ceil(factor * math.sqrt(2.0) * gap / h_target))
 
-    def build(n_ang):
-        # An under-resolved angular sampling can fold the radial blend
-        # into inverted triangles; treat that the same as h too large.
-        try:
-            return generate_mesh(shape, R, n_radial, n_ang)
-        except MeshError:
-            return None
+    def fits(n_angular: int) -> bool:
+        # an under-resolved sampling can fold the blend into inverted triangles
+        nodes, triangles, _ = _structured(shape, R, n_radial, n_angular)
+        p = nodes[triangles]
+        return bool(np.all(_signed_areas(p) > 0)) and _longest_side(p) <= h_target
 
     lo, hi = 8, 8
-    mesh = build(hi)
-    while mesh is None or mesh.h > h_target:
+    while not fits(hi):
         hi *= 2
-        if hi > max_angular:
-            raise MeshError(f"cannot reach h <= {h_target} with n_angular <= {max_angular}")
-        mesh = build(hi)
+        if hi > MAX_ANGULAR:
+            raise MeshError(unreachable)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        trial = build(mid)
-        if trial is None or trial.h > h_target:
-            lo = mid
-        else:
+        if fits(mid):
             hi = mid
-            mesh = trial
-    return mesh
+        else:
+            lo = mid
+    return generate_mesh(shape, R, n_radial, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +575,7 @@ def import_mesh(text: str) -> Mesh:
     tris = conn[_id_order(tids, tri_lines, "triangle")].astype(np.int64) - 1
 
     warnings = []
-    p = nodes[tris]
-    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    flipped = np.flatnonzero(area2 < 0)
+    flipped = np.flatnonzero(_signed_areas(nodes[tris]) < 0)
     if len(flipped):
         tris[flipped] = tris[flipped][:, ::-1]
         warnings.append(

@@ -80,7 +80,7 @@ class ErrorReport:
 
 @dataclass
 class BoundaryTrace:
-    """Bending moment sampled along the cavity boundary, ordered by angle."""
+    """Bending moment at the cavity nodes in loop order, with their polar angles."""
 
     params: np.ndarray
     w: np.ndarray
@@ -143,11 +143,10 @@ def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
 
 
 def boundary_trace(field: SolutionField, mesh: Mesh) -> BoundaryTrace:
-    """w at the cavity nodes, ordered by boundary parameter."""
-    d_nodes = mesh.d_nodes
-    params = mesh.d_params()
-    order = np.argsort(params)
-    return BoundaryTrace(params[order], field.w[d_nodes][order])
+    """w at the cavity nodes along the cavity loop, with their polar angles."""
+    loop = mesh.cavity_loop
+    pts = mesh.nodes[loop]
+    return BoundaryTrace(np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi), field.w[loop])
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,13 @@ def test_method_validation():
     for bad in (lambda: Method.interior_penalty(0.0),
                 lambda: Method.boundary_penalty(-1.0),
                 lambda: Method("weird"),
-                lambda: Method("regular", gamma=1.0)):
+                lambda: Method("regular", gamma=1.0),
+                # each kind carries only its own, finite penalty
+                lambda: Method("bp", gamma=1e-3, eta=0.5),
+                lambda: Method("ip", gamma=1e-3, eta=0.5),
+                lambda: Method("ip", gamma=math.nan),
+                lambda: Method("ip", gamma=math.inf),
+                lambda: Method("bp", eta=math.inf)):
         with pytest.raises(ValueError):
             bad()
 

@@ -139,6 +139,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     a_file.write_text("")
     sweep = ["sweep", "--param", "gamma", "--h", "0.2", "--out", str(tmp_path / "s")]
     assert run(["mesh", "--h", "0.2", "--R", "0.5", "--out", str(tmp_path / "r05")]) == 0
+    for radius in ("0.4", "0.25"):
+        assert run(["mesh", "--h", "0.2", "--shape", f"circle:{radius}",
+                    "--out", str(tmp_path / f"c{radius}")]) == 0
     usage_errors = [
         ["solve", "--shape", "triangle:1"],
         ["solve", "--method", "mystery:1"],
@@ -155,6 +158,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["solve", "--mesh", str(tmp_path / "r05" / "mesh.txt"), "--oracle", "none",
          "--out", str(tmp_path / "m")],
         ["mesh", "--h", "0.2", "--out", str(a_file / "x")],
+        # imported cavities of radius 0.4 and 0.25, not the series oracle's 0.3
+        ["solve", "--mesh", str(tmp_path / "c0.4" / "mesh.txt"), "--out", str(tmp_path / "m")],
+        ["sweep", "--param", "gamma", "--values", "1e-3",
+         "--mesh", str(tmp_path / "c0.25" / "mesh.txt"), "--out", str(tmp_path / "m")],
         # verb options
         ["analytic", "--ntheta", "-1", "--out", str(tmp_path / "a")],
         ["analytic", "--nr", "0", "--out", str(tmp_path / "a")],
@@ -305,6 +312,12 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "f")]) == 2
     assert run(["mesh", "--R", "0.25", "--out", str(tmp_path / "g")]) == 2
     assert "cavity extends to radius" in capsys.readouterr().err
+    # ring chords bound h below by 2 R sin(pi / n_angular): no n_angular <= 8192 fits
+    for bad in (["--h", "1e-300"], ["--R", "1e300"]):
+        assert run(["mesh", *bad, "--out", str(tmp_path / "u")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cannot reach h <= "), err
+        assert len(err.splitlines()) == 1
     # the coarse cavity polygon puts quadrature points inside the circle
     assert run(["solve", "--h", "0.5", "--out", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from flexscat import geometry
 from flexscat.geometry import (Circle, Ellipse, Kite, Mesh, MeshError,
                                cavity_min_gap, cavity_point, export_mesh,
                                generate_mesh, generate_mesh_for_h, import_mesh,
-                               refine, refine_nested, _radius_params)
+                               refine, refine_nested)
 
 
 def test_cavity_point_parametrizations():
@@ -35,14 +36,28 @@ def test_shape_validation():
             bad()
 
 
-def test_radius_params_hit_requested_angles():
-    for shape in (Ellipse(0.4, 0.2), Kite(0.3, 0.2, 0.1)):
-        angles = np.linspace(0.0, 2 * math.pi, 17, endpoint=False)
-        t = _radius_params(shape, angles)
-        pts = cavity_point(shape, t)
-        got = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
-        diff = np.abs((got - angles + math.pi) % (2 * math.pi) - math.pi)
-        assert np.max(diff) < 1e-9
+def test_node_columns_are_rays_through_cavity_nodes():
+    nr, na = 5, 40
+    for shape in (Circle(0.3), Ellipse(0.4, 0.2), Kite(0.3, 0.2, 0.1)):
+        mesh = generate_mesh(shape, 0.6, nr, na)
+        cols = mesh.nodes.reshape(nr + 1, na, 2)
+        t_node = cols[-1]
+        assert np.all(mesh.node_class.reshape(nr + 1, na)[-1] == "T")
+        cross = cols[..., 0] * t_node[:, 1] - cols[..., 1] * t_node[:, 0]
+        scale = np.linalg.norm(cols, axis=2) * np.linalg.norm(t_node, axis=1)
+        assert np.all(np.abs(cross) <= 1e-12 * scale), shape
+        assert np.all(np.sum(cols * t_node, axis=2) > 0), shape
+        x, y = mesh.nodes[mesh.d_nodes].T
+        if isinstance(shape, Circle):
+            assert np.allclose(np.hypot(x, y), 0.3, rtol=1e-12, atol=0)
+        elif isinstance(shape, Ellipse):
+            assert np.allclose((x / 0.4) ** 2 + (y / 0.2) ** 2, 1.0, rtol=0, atol=1e-12)
+        else:
+            # y = a sin t fixes t up to t <-> pi - t; x must match one of them
+            t = np.arcsin(np.clip(y / shape.a, -1.0, 1.0))
+            miss = np.minimum(*(np.linalg.norm(cavity_point(shape, tt) - np.stack([x, y], 1),
+                                               axis=1) for tt in (t, math.pi - t)))
+            assert np.all(miss <= 1e-12), miss.max()
 
 
 def test_cavity_min_gap_circle_exact():
@@ -134,9 +149,29 @@ def test_generate_mesh_for_h_meets_target():
         assert mesh.h <= 0.12
 
 
-def test_generate_mesh_for_h_unreachable_target():
-    with pytest.raises(MeshError):
-        generate_mesh_for_h(Circle(0.3), 0.6, 0.05, max_angular=16)
+def test_generate_mesh_for_h_builds_one_mesh(monkeypatch):
+    built = []
+    post_init = Mesh.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Mesh, "__post_init__", counted)
+    for shape, h in ((Circle(0.3), 0.05), (Ellipse(0.4, 0.2), 0.1), (Kite(0.3, 0.2, 0.1), 0.2)):
+        built.clear()
+        mesh = generate_mesh_for_h(shape, 0.6, h)
+        assert mesh.h <= h and len(built) == 1, shape
+
+
+def test_generate_mesh_for_h_unreachable_target(monkeypatch):
+    # ring chords bound h below by 2 R sin(pi / n_angular): rejected up front
+    with pytest.raises(MeshError, match="cannot reach h <= 0.0001 with n_angular <= 8192"):
+        generate_mesh_for_h(Circle(0.3), 0.6, 1e-4)
+    # the bound admits n_angular >= 75.4, but doubling stops at 128 > 80
+    monkeypatch.setattr(geometry, "MAX_ANGULAR", 80)
+    with pytest.raises(MeshError, match="n_angular <= 80"):
+        generate_mesh_for_h(Circle(0.3), 0.6, 0.05)
 
 
 def test_cavity_must_fit_inside_truncation_circle():
