@@ -13,9 +13,9 @@ from .config import ScatterConfig
 from .dtn import IncidentField, TbcMatrix, assemble_tbc, incident_load
 from .geometry import (CavityShape, Circle, Ellipse, Kite, Mesh, cavity_point,
                        export_mesh, generate_mesh, generate_mesh_for_h,
-                       import_mesh, refine, refine_nested)
+                       import_mesh, refine)
 from .postproc import (BoundaryTrace, ErrorReport, boundary_trace,
-                       compute_errors, evaluate_at_points, exact_samples, fe_evaluator)
+                       compute_errors, exact_samples, fe_evaluator)
 from .series import SeriesSolution
 from .solve import SolutionField, recover_fields, solve_system
 from .specfun import (ValueWithDerivative, bessel_j, bessel_k, bessel_y,
@@ -26,8 +26,8 @@ __all__ = [
     "ScatterConfig", "IncidentField", "TbcMatrix", "assemble_tbc",
     "incident_load", "CavityShape", "Circle", "Ellipse", "Kite", "Mesh",
     "cavity_point", "export_mesh", "generate_mesh", "generate_mesh_for_h",
-    "import_mesh", "refine", "refine_nested", "BoundaryTrace", "ErrorReport", "boundary_trace",
-    "compute_errors", "evaluate_at_points", "exact_samples", "fe_evaluator", "SeriesSolution",
+    "import_mesh", "refine", "BoundaryTrace", "ErrorReport", "boundary_trace",
+    "compute_errors", "exact_samples", "fe_evaluator", "SeriesSolution",
     "SolutionField", "recover_fields", "solve_system", "ValueWithDerivative",
     "bessel_j", "bessel_k", "bessel_y", "dtn_symbol_h", "dtn_symbol_k",
     "hankel1",

@@ -107,12 +107,6 @@ def tri_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return area, grads
 
 
-def local_matrices(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact stiffness and mass matrices of the linear element."""
-    area, grads = tri_geometry(np.asarray(verts, dtype=float)[None])
-    return area[0] * (grads[0] @ grads[0].T), area[0] * _MASS_REF
-
-
 # ---------------------------------------------------------------------------
 # Global scalar matrices
 # ---------------------------------------------------------------------------

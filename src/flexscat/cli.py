@@ -23,8 +23,8 @@ from .assembly import AssemblyError, Method, assemble_all, build_system
 from .config import (ConfigError, ScatterConfig, method_from_text,
                      shape_from_text, shape_to_dict)
 from .dtn import IncidentField, assemble_tbc, incident_load
-from .geometry import (Circle, Mesh, MeshError, export_mesh, generate_mesh_for_h,
-                       import_mesh, refine)
+from .geometry import (Circle, Mesh, MeshError, cavity_point, export_mesh,
+                       generate_mesh_for_h, import_mesh, refine)
 from .postproc import (ErrorReport, PostprocError, boundary_trace, compute_errors,
                        fe_evaluator)
 from .series import RADIAL_SLACK, CavityPointError, SeriesSolution
@@ -38,33 +38,38 @@ ORACLE_MODES = 25
 #: Refinements of the finest study level that give an FE reference mesh.
 REFERENCE_EXTRA_REFINES = 2
 
+#: Curve samples tabulating the configured cavity's radius by polar angle.
+CAVITY_SAMPLES = 4096
+
 
 # ---------------------------------------------------------------------------
 # Core runs
 # ---------------------------------------------------------------------------
 
 def build_config_mesh(config: ScatterConfig) -> Mesh:
+    """The generated mesh, or the --mesh file if it has the configured R and cavity.
+
+    Cavities are star-shaped: each D node's radius must match the cavity's at
+    its polar angle to within RADIAL_SLACK, relative.
+    """
     if config.mesh_path is None:
         return generate_mesh_for_h(config.shape, config.R, config.h_target)
     mesh = import_mesh(Path(config.mesh_path).read_text())
     if abs(mesh.truncation_radius - config.R) > 1e-9 * config.R:
         raise ConfigError(f"mesh {config.mesh_path} ends at radius "
                           f"{mesh.truncation_radius!r}, not R = {config.R!r}")
+    t = np.linspace(0.0, 2.0 * math.pi, CAVITY_SAMPLES, endpoint=False)
+    cx, cy = cavity_point(config.shape, t).T
+    x, y = mesh.nodes[mesh.d_nodes].T
+    rho = np.interp(np.arctan2(y, x), np.arctan2(cy, cx), np.hypot(cx, cy), period=2.0 * math.pi)
+    miss = np.abs(np.hypot(x, y) / rho - 1.0)
+    k = int(np.argmax(miss))
+    if miss[k] > RADIAL_SLACK:
+        raise ConfigError(f"mesh {config.mesh_path} has a cavity node at ({x[k]:.6g}, {y[k]:.6g}), "
+                          f"{miss[k]:.1%} off the radius of the configured cavity {config.shape}")
     for note in mesh.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return mesh
-
-
-def check_series_cavity(config: ScatterConfig, mesh: Mesh) -> None:
-    """An imported mesh must have the cavity that the series oracle solves for."""
-    if config.oracle != "series" or config.mesh_path is None:
-        return
-    rhat = config.shape.radius
-    r = np.linalg.norm(mesh.nodes[mesh.d_nodes], axis=1)
-    worst = float(r[np.argmax(np.abs(r - rhat))])
-    if abs(worst - rhat) > RADIAL_SLACK * rhat:
-        raise ConfigError(f"mesh {config.mesh_path} has a cavity node at radius {worst:.6g}, "
-                          f"not on the series oracle's circle of radius {rhat!r}")
 
 
 def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc):
@@ -114,7 +119,6 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
-    check_series_cavity(config, mesh)
     tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
     field, system = solve_once(config, mesh, assemble_all(mesh), tbc)
 
@@ -156,7 +160,6 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
-    check_series_cavity(config, mesh)
     scalars = assemble_all(mesh)
     # only the series oracle and the TBC depend on a swept parameter (kappa)
     if parameter != "kappa":

@@ -51,15 +51,12 @@ class IncidentField:
 class TbcMatrix:
     """Assembled DtN blocks over the T nodes (mesh node order).
 
-    mode_orders, mode_coeff_p/q, and mode_vectors retain the low-rank
-    per-mode form: block = sum_n coeff_n * outer(c_n, conj(c_n)).
+    Each block sums coeff_n * outer(c_n, conj(c_n)) over mode_orders, c_n the mode_vectors rows.
     """
 
     p_block: np.ndarray
     q_block: np.ndarray
     mode_orders: np.ndarray
-    mode_coeff_p: np.ndarray
-    mode_coeff_q: np.ndarray
     mode_vectors: np.ndarray  # (n_modes, N_T)
 
 
@@ -111,7 +108,7 @@ def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
     # it exactly so the global system is complex symmetric to the last bit
     p_block = 0.5 * (p_block + p_block.T)
     q_block = 0.5 * (q_block + q_block.T)
-    return TbcMatrix(p_block, q_block, orders, coeff_p, coeff_q, vectors)
+    return TbcMatrix(p_block, q_block, orders, vectors)
 
 
 def incident_mode_coeff(n: int | np.ndarray, kappa: float, R: float,

@@ -171,8 +171,10 @@ class Mesh:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self._build_topology()
-        self._validate()
+        # huge coordinates overflow into non-finite areas, which _validate rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._build_topology()
+            self._validate()
 
     # -- derived quantities -------------------------------------------------
 
@@ -290,8 +292,9 @@ class Mesh:
 
     def _validate(self):
         areas = self.areas()
-        if np.any(areas <= 0):
-            raise MeshError(f"{int(np.sum(areas <= 0))} triangles have non-positive area")
+        bad = ~((0 < areas) & (areas < np.inf))
+        if np.any(bad):
+            raise MeshError(f"{int(np.sum(bad))} triangles have non-positive or non-finite area")
         if not np.isin(self.node_class, ("I", "T", "D")).all():
             raise MeshError("unknown node class")
         off_loop = self.node_class != "I"
@@ -434,44 +437,6 @@ def refine(mesh: Mesh) -> Mesh:
     return generate_mesh(g.shape, g.R, 2 * g.n_radial, 2 * g.n_angular)
 
 
-def refine_nested(mesh: Mesh) -> Mesh:
-    """Quadrisect every triangle, keeping the cavity polygon fixed.
-
-    Edge midpoints become new nodes.  Midpoints of truncation edges are
-    projected back onto the circle (the artificial boundary is exact and
-    the DtN pairing lives on it), while cavity-edge midpoints stay on the
-    chord.  Every nested level therefore solves the same computational
-    cavity geometry, which is what a reference-solution convergence study
-    needs: the errors measure discretization alone, not a level-dependent
-    polygonal approximation of the cavity.
-    """
-    n = np.int64(mesh.n_nodes)
-    tris = mesh.triangles
-    # sides ab, bc, ca of each triangle in turn: the order midpoints are
-    # numbered in; sorted (lo, hi) pairs keyed lo * n + hi
-    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2),
-                    axis=1)
-    _, first, side_edge, counts = np.unique(sides[:, 0] * n + sides[:, 1],
-                                            return_index=True, return_inverse=True,
-                                            return_counts=True)
-    by_use = np.argsort(first)
-    rank = np.argsort(by_use)  # first-use number of each edge
-    ends = sides[first[by_use]]
-    p = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
-    # a boundary edge (one triangle) has two D or two T ends; Mesh checks it
-    cls = np.where(counts[by_use] == 1, mesh.node_class[ends[:, 0]], "I")
-    t = cls == "T"
-    # the row dot product rounds like the scalar np.linalg.norm
-    q = p[t]
-    p[t] = q * (mesh.truncation_radius / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0])
-
-    a, b, c = tris.T
-    ab, bc, ca = (n + rank[side_edge]).reshape(-1, 3).T
-    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
-    return Mesh(np.vstack([mesh.nodes, p]), children.reshape(-1, 3),
-                np.concatenate([mesh.node_class, cls]))
-
-
 def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float) -> Mesh:
     """Smallest structured mesh with h <= h_target, by n_angular bisection on node arrays."""
     if h_target <= 0:
@@ -486,10 +451,13 @@ def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float) -> Mesh:
     n_radial = max(2, math.ceil(factor * math.sqrt(2.0) * gap / h_target))
 
     def fits(n_angular: int) -> bool:
-        # an under-resolved sampling can fold the blend into inverted triangles
-        nodes, triangles, _ = _structured(shape, R, n_radial, n_angular)
-        p = nodes[triangles]
-        return bool(np.all(_signed_areas(p) > 0)) and _longest_side(p) <= h_target
+        # an under-resolved sampling can fold the blend into inverted triangles;
+        # coordinates near the float limit give non-finite areas and sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes, triangles, _ = _structured(shape, R, n_radial, n_angular)
+            p = nodes[triangles]
+            areas = _signed_areas(p)
+            return bool(np.all((0 < areas) & (areas < np.inf))) and _longest_side(p) <= h_target
 
     lo, hi = 8, 8
     while not fits(hi):

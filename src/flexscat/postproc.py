@@ -18,7 +18,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .assembly import Method, tri_geometry
 from .geometry import Mesh
@@ -168,6 +167,8 @@ class PointLocator:
         span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
         self.clamp_dist = _CLAMP_FRACTION * float(np.linalg.norm(span))
         self.verts = mesh.nodes[mesh.triangles]
+        # imported here: runs that never locate a point skip loading scipy.spatial
+        from scipy.spatial import cKDTree
         self.tree = cKDTree(self.verts.mean(axis=1))
 
     def _bary(self, tri_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -221,12 +222,6 @@ class PointLocator:
             bad = pts[tri < 0]
             raise PostprocError(f"{len(bad)} points outside the mesh, first: {bad[:3].tolist()}")
         return tri, bary
-
-
-def evaluate_at_points(field: SolutionField, mesh: Mesh, points: np.ndarray):
-    """(v, w) by barycentric interpolation at arbitrary interior points."""
-    v, w, _, _ = fe_evaluator(field, mesh)(points)
-    return v, w
 
 
 def fe_evaluator(field: SolutionField, mesh: Mesh):

@@ -76,16 +76,6 @@ def solve_mode(n: int | np.ndarray, kappa: float, r_cavity: float, f_n: complex,
     return v_h, v_m
 
 
-def solve_mode_cramer(n: int, kappa: float, r_cavity: float, f_n: complex,
-                      g_n: complex) -> tuple[complex, complex]:
-    """Cross-check path: the explicit Cramer's-rule formulas."""
-    rh, rk = _mode_ratios(n, kappa, r_cavity)
-    det_n = rh - rk
-    v_h = (g_n / kappa - rk * f_n) / det_n
-    v_m = (rh * f_n - g_n / kappa) / det_n
-    return v_h, v_m
-
-
 def mode_determinant(n: int, kappa: float, r_cavity: float) -> complex:
     """Determinant of the per-mode 2x2 coefficient matrix."""
     rh, rk = _mode_ratios(n, kappa, r_cavity)

@@ -3,11 +3,14 @@
 import json
 import math
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flexscat
 from flexscat import cli, dtn, postproc
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
@@ -69,12 +72,16 @@ def test_reference_oracle_round_trip(tmp_path):
 
 
 def test_mesh_import_option(tmp_path):
-    src = tmp_path / "src"
-    assert run(["mesh", "--h", "0.2", "--out", str(src)]) == 0
-    out = tmp_path / "imported"
-    assert run(["solve", "--mesh", str(src / "mesh.txt"),
-                "--out", str(out)]) == 0
-    assert (out / "field.csv").exists()
+    # a generated mesh passes the cavity check when imported under its own shape
+    for k, shape in enumerate(("circle:0.3", "circle:0.4", "ellipse:0.4,0.2",
+                               "kite:0.3,0.2,0.1")):
+        src = tmp_path / f"src{k}"
+        assert run(["mesh", "--h", "0.2", "--shape", shape, "--out", str(src)]) == 0
+        out = tmp_path / f"imported{k}"
+        oracle = "series" if shape == "circle:0.3" else "none"
+        assert run(["solve", "--mesh", str(src / "mesh.txt"), "--shape", shape,
+                    "--oracle", oracle, "--out", str(out)]) == 0, shape
+        assert (out / "field.csv").exists()
 
 
 def test_sweep_command(tmp_path):
@@ -158,8 +165,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["solve", "--mesh", str(tmp_path / "r05" / "mesh.txt"), "--oracle", "none",
          "--out", str(tmp_path / "m")],
         ["mesh", "--h", "0.2", "--out", str(a_file / "x")],
-        # imported cavities of radius 0.4 and 0.25, not the series oracle's 0.3
+        # imported cavities of radius 0.4 and 0.25, not the configured 0.3, for any oracle
         ["solve", "--mesh", str(tmp_path / "c0.4" / "mesh.txt"), "--out", str(tmp_path / "m")],
+        ["solve", "--mesh", str(tmp_path / "c0.4" / "mesh.txt"), "--oracle", "none",
+         "--out", str(tmp_path / "m")],
         ["sweep", "--param", "gamma", "--values", "1e-3",
          "--mesh", str(tmp_path / "c0.25" / "mesh.txt"), "--out", str(tmp_path / "m")],
         # verb options
@@ -306,6 +315,8 @@ def test_runs_build_one_hat_fourier_matrix_per_tbc(tmp_path, monkeypatch):
         assert len(calls) == expected, argv
 
 
+# pytest would collect numpy's overflow warnings instead of letting them reach stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failures_exit_2(tmp_path, capsys):
     # cavity touching the truncation circle cannot be meshed
     assert run(["solve", "--shape", "circle:0.6", "--oracle", "none",
@@ -313,7 +324,7 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     assert run(["mesh", "--R", "0.25", "--out", str(tmp_path / "g")]) == 2
     assert "cavity extends to radius" in capsys.readouterr().err
     # ring chords bound h below by 2 R sin(pi / n_angular): no n_angular <= 8192 fits
-    for bad in (["--h", "1e-300"], ["--R", "1e300"]):
+    for bad in (["--h", "1e-300"], ["--R", "1e300"], ["--h", "1e300", "--R", "1e300"]):
         assert run(["mesh", *bad, "--out", str(tmp_path / "u")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: cannot reach h <= "), err
@@ -323,24 +334,37 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mesh too coarse for the series oracle" in err
     assert len(err.strip().splitlines()) == 1
-    # a reference whose mesh has a 0.4 cavity cannot cover the 0.3..0.4 ring
-    assert run(["mesh", "--h", "0.2", "--shape", "circle:0.4", "--out", str(tmp_path / "m")]) == 0
-    assert run(["solve", "--mesh", str(tmp_path / "m" / "mesh.txt"), "--oracle", "none",
-                "--out", str(tmp_path / "ref")]) == 0
+    # a 0.4-cavity reference relabelled as 0.3 cannot cover the 0.3..0.4 ring
+    ref = tmp_path / "ref"
+    assert run(["solve", "--h", "0.2", "--shape", "circle:0.4", "--oracle", "none",
+                "--out", str(ref)]) == 0
+    meta = json.loads((ref / "metadata.json").read_text())
+    meta["config"]["shape"]["radius"] = 0.3
+    (ref / "metadata.json").write_text(json.dumps(meta))
     capsys.readouterr()
-    assert run(["solve", "--h", "0.2", "--oracle", f"reference:{tmp_path / 'ref'}",
+    assert run(["solve", "--h", "0.2", "--oracle", f"reference:{ref}",
                 "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "points outside the mesh" in err
     assert len(err.strip().splitlines()) == 1
     # a mesh file with a coordinate that is not finite
-    lines = (tmp_path / "m" / "mesh.txt").read_text().splitlines()
+    lines = (ref / "mesh.txt").read_text().splitlines()
     lines[1] = lines[1].replace(lines[1].split()[1], "nan")
     (tmp_path / "nan.txt").write_text("\n".join(lines) + "\n")
     assert run(["solve", "--mesh", str(tmp_path / "nan.txt"), "--oracle", "none",
                 "--out", str(tmp_path / "n")]) == 2
     assert capsys.readouterr().err == (
         "numerical failure: line 2: node coordinates must be finite\n")
+
+
+def test_runs_that_locate_no_point_skip_scipy_spatial(tmp_path):
+    src = str(Path(flexscat.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from flexscat.cli import main; "
+            f"status = main(['solve', '--h', '0.3', '--oracle', 'none', '--out', {str(tmp_path)!r}]); "
+            "print(status, 'scipy.spatial' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.stdout == "0 False\n", done.stderr
 
 
 def test_observed_orders_on_synthetic_data():

@@ -8,7 +8,7 @@ import pytest
 from flexscat.dtn import (IncidentField, assemble_tbc, hat_fourier,
                           incident_load, incident_mode_coeff)
 from flexscat.geometry import Circle, generate_mesh
-from flexscat.specfun import dtn_symbol_h
+from flexscat.specfun import dtn_symbol_h, dtn_symbol_k
 
 KAPPA = math.pi
 R = 0.6
@@ -112,15 +112,15 @@ def test_tbc_blocks_complex_symmetric_not_hermitian(coarse_circle_mesh):
 
 def test_tbc_low_rank_form_reproduces_blocks(coarse_circle_mesh):
     tbc = assemble_tbc(coarse_circle_mesh, KAPPA, R, 8)
+    assert tbc.mode_orders.tolist() == list(range(-8, 9))
     p = np.zeros_like(tbc.p_block)
     q = np.zeros_like(tbc.q_block)
-    for cp, cq, c in zip(tbc.mode_coeff_p, tbc.mode_coeff_q, tbc.mode_vectors):
-        outer = np.outer(c, np.conj(c))
-        p += cp * outer
-        q += cq * outer
+    for n, c in zip(tbc.mode_orders, tbc.mode_vectors):
+        outer = np.outer(c, np.conj(c)) / (2 * math.pi)
+        p += dtn_symbol_h(int(n), KAPPA * R) * outer
+        q += dtn_symbol_k(int(n), KAPPA * R) * outer
     assert np.allclose(p, tbc.p_block)
     assert np.allclose(q, tbc.q_block)
-    assert len(tbc.mode_orders) == 17
 
 
 def test_tbc_constant_mode_pairing(coarse_circle_mesh):

@@ -9,7 +9,7 @@ from flexscat import geometry
 from flexscat.geometry import (Circle, Ellipse, Kite, Mesh, MeshError,
                                cavity_min_gap, cavity_point, export_mesh,
                                generate_mesh, generate_mesh_for_h, import_mesh,
-                               refine, refine_nested)
+                               refine)
 
 
 def test_cavity_point_parametrizations():
@@ -112,37 +112,6 @@ def test_refine_requires_generator(coarse_circle_mesh):
         refine(bare)
 
 
-def test_refine_nested_is_a_quadrisection():
-    mesh = generate_mesh(Ellipse(0.4, 0.2), 0.6, 3, 24)
-    fine = refine_nested(mesh)
-    assert fine.n_triangles == 4 * mesh.n_triangles
-    n_edges = len(mesh.interior_edges) + len(mesh.cavity_loop) + len(mesh.truncation_loop)
-    assert fine.n_nodes == mesh.n_nodes + n_edges
-    # parent nodes are kept verbatim with their classes
-    assert np.array_equal(fine.nodes[:mesh.n_nodes], mesh.nodes)
-    assert np.array_equal(fine.node_class[:mesh.n_nodes], mesh.node_class)
-    # h roughly halves; projecting truncation midpoints onto the circle
-    # makes child chords marginally longer than half the parent chord
-    assert fine.h == pytest.approx(mesh.h / 2, rel=0.05)
-
-
-def test_refine_nested_freezes_cavity_and_projects_circle():
-    mesh = generate_mesh(Kite(0.3, 0.2, 0.1), 0.6, 3, 32)
-    fine = refine_nested(mesh)
-    # new cavity nodes are chord midpoints of the parent polygon
-    loop = mesh.cavity_loop
-    mids = {tuple(np.round(0.5 * (mesh.nodes[a] + mesh.nodes[b]), 12))
-            for a, b in zip(loop, np.roll(loop, -1))}
-    new_d = [i for i in fine.d_nodes if i >= mesh.n_nodes]
-    assert len(new_d) == len(loop)
-    for i in new_d:
-        assert tuple(np.round(fine.nodes[i], 12)) in mids
-    # new truncation nodes land exactly on the circle
-    new_t = [i for i in fine.t_nodes if i >= mesh.n_nodes]
-    r = np.linalg.norm(fine.nodes[new_t], axis=1)
-    assert np.allclose(r, mesh.truncation_radius, rtol=1e-13)
-
-
 def test_generate_mesh_for_h_meets_target():
     for shape in (Circle(0.3), Ellipse(0.4, 0.2), Kite(0.3, 0.2, 0.1)):
         mesh = generate_mesh_for_h(shape, 0.6, 0.12)
@@ -199,9 +168,27 @@ def test_quad_split_matches_scalar_reference():
     assert np.array_equal(mesh.triangles, np.array(ref))
 
 
+def shuffled_import(mesh: Mesh, seed: int) -> Mesh:
+    """The mesh exported with shuffled node and triangle ids, then imported."""
+    rng = np.random.default_rng(seed)
+    node_id = rng.permutation(mesh.n_nodes) + 1
+    tri_id = rng.permutation(mesh.n_triangles) + 1
+    text = "\n".join(
+        [f"nodes {mesh.n_nodes}"]
+        + [f"{k} {x!r} {y!r} {c}" for k, (x, y), c in
+           zip(node_id, mesh.nodes.tolist(), mesh.node_class)]
+        + [f"triangles {mesh.n_triangles}"]
+        + [f"{k} {a} {b} {c}" for k, (a, b, c) in zip(tri_id, node_id[mesh.triangles].tolist())])
+    back = import_mesh(text)
+    assert np.array_equal(back.nodes[node_id - 1], mesh.nodes)
+    assert np.array_equal(back.triangles[tri_id - 1], node_id[mesh.triangles] - 1)
+    return back
+
+
 def test_topology_matches_edge_map_reference():
+    # the second numbering does not come from the generator
     for mesh in (generate_mesh(Kite(0.3, 0.2, 0.1), 0.6, 3, 24),
-                 refine_nested(generate_mesh(Circle(0.3), 0.6, 2, 12))):
+                 shuffled_import(generate_mesh(Ellipse(0.4, 0.2), 0.6, 3, 16), 7)):
         edge_map = {}
         for k, tri in enumerate(mesh.triangles.tolist()):
             for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -253,8 +240,12 @@ def test_import_rejects_broken_meshes():
                 import_mesh(bad)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validation_catches_inverted_and_misclassified():
     mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
+    # areas past the float range are rejected without an overflow warning
+    with pytest.raises(MeshError, match="48 triangles have non-positive or non-finite area"):
+        Mesh(1e160 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
     tris = mesh.triangles.copy()
     tris[0] = tris[0][::-1]  # clockwise triangle
     with pytest.raises(MeshError):
@@ -267,6 +258,6 @@ def test_validation_catches_inverted_and_misclassified():
 
 def test_graded_meshes_stay_valid_under_refinement():
     mesh = generate_mesh_for_h(Kite(0.3, 0.2, 0.1), 0.6, 0.2)
-    fine = refine_nested(mesh)
+    fine = refine(mesh)
     assert np.all(fine.areas() > 0)
     assert fine.n_dofs > mesh.n_dofs

@@ -9,9 +9,8 @@ from flexscat import Method, SeriesSolution
 from flexscat.geometry import Circle, generate_mesh
 from flexscat.postproc import (BoundaryTrace, ErrorReport, PointLocator,
                                PostprocError, boundary_trace, compute_errors,
-                               error_csv, evaluate_at_points, exact_samples,
-                               fe_evaluator, field_csv, read_field_csv, trace_csv,
-                               vtk_field)
+                               error_csv, exact_samples, fe_evaluator, field_csv,
+                               read_field_csv, trace_csv, vtk_field)
 from conftest import KAPPA, RHAT, R, solve_direct
 
 
@@ -62,11 +61,14 @@ def test_point_evaluation_reproduces_linear_fields(coarse_circle_mesh):
     r = rng.uniform(RHAT * 1.02, R * 0.98, 200)
     th = rng.uniform(0, 2 * math.pi, 200)
     pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    v, w = evaluate_at_points(field, mesh, pts)
+    v, w, gv, gw = fe_evaluator(field, mesh)(pts)
     exact = 0.3 * pts[:, 0] - 0.8 * pts[:, 1] + 0.1
     keep = r > RHAT * 1.05  # clear of the polygonal cavity chords
     assert np.allclose(v[keep], exact[keep], atol=1e-12)
     assert np.allclose(w[keep], 2 * exact[keep], atol=1e-12)
+    # the element gradients are exact everywhere, clamped points included
+    assert np.allclose(gv, [0.3, -0.8], atol=1e-12)
+    assert np.allclose(gw, [0.6, -1.6], atol=1e-12)
 
 
 def test_locator_rejects_far_points(coarse_circle_mesh):
