@@ -72,9 +72,14 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     return mesh
 
 
-def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc):
-    """Solve one configuration on a mesh with its scalar matrices and TBC."""
-    load = incident_load(tbc, config.kappa, config.R, config.alpha)
+def tbc_and_load(config: ScatterConfig, mesh: Mesh):
+    """DtN blocks of a mesh and the incident load paired with them."""
+    tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
+    return tbc, incident_load(tbc, config.kappa, config.R, config.alpha)
+
+
+def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc, load):
+    """Solve one configuration on a mesh with its scalar matrices, TBC and load."""
     system = build_system(mesh, scalars, tbc, load, config.kappa, config.method)
     w_vec, residual = solve_system(system)
     incident = IncidentField(config.kappa, config.alpha)
@@ -119,8 +124,7 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
-    tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
-    field, system = solve_once(config, mesh, assemble_all(mesh), tbc)
+    field, system = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
 
     (out_dir / "mesh.txt").write_text(export_mesh(mesh))
     (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
@@ -161,10 +165,10 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
     scalars = assemble_all(mesh)
-    # only the series oracle and the TBC depend on a swept parameter (kappa)
+    # only the series oracle, the TBC and the load depend on a swept parameter (kappa)
     if parameter != "kappa":
         samples = postproc.exact_samples(mesh, exact)
-        tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
+        tbc, load = tbc_and_load(config, mesh)
 
     reports: list[ErrorReport | None] = []
     failures: list[str] = []
@@ -177,9 +181,9 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
             cfg = dataclasses.replace(config, kappa=value)
         try:
             if parameter == "kappa":
-                tbc = assemble_tbc(mesh, cfg.kappa, cfg.R, cfg.N)
+                tbc, load = tbc_and_load(cfg, mesh)
                 samples = postproc.exact_samples(mesh, oracle_evaluator(cfg))
-            field, _ = solve_once(cfg, mesh, scalars, tbc)
+            field, _ = solve_once(cfg, mesh, scalars, tbc, load)
             reports.append(compute_errors(field, mesh, samples, cfg.method,
                                           cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError) as exc:
@@ -231,14 +235,13 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
             ref_mesh = refine(ref_mesh)
         ref_cfg = dataclasses.replace(
             config, method=Method.interior_penalty(config.kappa * 1e-3))
-        ref_tbc = assemble_tbc(ref_mesh, config.kappa, config.R, config.N)
-        ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh), ref_tbc)
+        ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh),
+                                  *tbc_and_load(ref_cfg, ref_mesh))
         exact = fe_evaluator(ref_field, ref_mesh)
 
     reports = []
     for mesh in meshes:
-        tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
-        field, _ = solve_once(config, mesh, assemble_all(mesh), tbc)
+        field, _ = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
         reports.append(compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
                                       config.method, config.kappa, config.N))
 

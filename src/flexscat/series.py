@@ -13,14 +13,21 @@ every n (its imaginary part is -2 / (pi Rhat |H_n^(1)(kappa Rhat)|^2)).
 
 This module is the exactness oracle for the finite element solver, so its
 truncation default (25 modes) sits well below discretization error.
+The factors are even in n, so the modal sums run over n = 0..N with the
++-n angular terms combined, in one streamed pass: each mode advances the
+radial recurrences and e^{in theta} and adds into six running sums (field,
+d_r and d_theta of each part), so memory is O(P) in the P points and no
+per-mode table is built.
+
 Radial factors are ratios, to dodge K_n overflow, with the reference
-argument kappa * Rhat as column 0 of each table.  scipy gives the orders 0
-and 1 (one ``hankel1``, one exp-scaled ``kve`` call); forward recurrence,
-stable for these dominant solutions (Gautschi, SIAM Rev. 9, 1967), the rest:
+argument kappa * Rhat as column 0 of each recurrence array; each mode's
+reference value enters as one scalar factor.  scipy's Cephes kernels give
+the orders 0 and 1 (one call each of ``j0``, ``j1``, ``y0``, ``y1`` and the
+exp-scaled ``k0e``, ``k1e``); forward recurrence, stable for these dominant
+solutions (Gautschi, SIAM Rev. 9, 1967), the rest:
 H_{n+1} = (2n/z) H_n - H_{n-1} (DLMF 10.6.1), K_{n+1} = K_{n-1} + (2n/z) K_n
 (DLMF 10.29.1).  Derivatives follow from H_n' = (n/z) H_n - H_{n+1} (DLMF
-10.6.2) and K_n' = (n/z) K_n - K_{n+1} (DLMF 10.29.2).  The factors are even
-in n, so the modal sums run over n = 0..N with the +-n angular terms combined.
+10.6.2) and K_n' = (n/z) K_n - K_{n+1} (DLMF 10.29.2).
 """
 
 from __future__ import annotations
@@ -76,12 +83,6 @@ def solve_mode(n: int | np.ndarray, kappa: float, r_cavity: float, f_n: complex,
     return v_h, v_m
 
 
-def mode_determinant(n: int, kappa: float, r_cavity: float) -> complex:
-    """Determinant of the per-mode 2x2 coefficient matrix."""
-    rh, rk = _mode_ratios(n, kappa, r_cavity)
-    return kappa * (rk - rh)
-
-
 @dataclass
 class SeriesSolution:
     """Evaluable analytic solution; valid for r >= Rhat (small slack below)."""
@@ -102,23 +103,30 @@ class SeriesSolution:
         return cls(kappa, r_cavity, alpha, n_modes, ch, cm)
 
     def _radial_factors(self, r: np.ndarray):
-        """Ratio radial factors and their r-derivatives, shape (n_modes+1, len(r))."""
+        """Yield each mode's ratio radial factors and r-derivatives, n = 0..N.
+
+        Each item is (hv, hd, kv, kd), arrays shaped like the flat ``r``.
+        """
         z0 = self.kappa * self.r_cavity
         # column 0 is the reference argument kappa * Rhat, columns 1.. the points
         z = np.concatenate([[z0], self.kappa * np.asarray(r, dtype=float)])
-        orders = np.arange(self.n_modes + 2)[:, None]
-        # K_n(z) exp(z0) from the exp-scaled kve dodges overflow; the scale
-        # is one factor per column, so the ratios and the recurrences keep it
-        h = list(special.hankel1(orders[:2], z))
-        k = list(special.kve(orders[:2], z) * np.exp(z0 - z))
-        for n in range(1, self.n_modes + 1):
-            h.append((2 * n / z) * h[n] - h[n - 1])
-            k.append(k[n - 1] + (2 * n / z) * k[n])
-        factors = []
-        for t in (np.array(h), np.array(k)):
-            deriv = orders[:-1] / z * t[:-1] - t[1:]  # (n/z) Z_n - Z_{n+1}
-            factors += [t[:-1, 1:] / t[:-1, :1], self.kappa * deriv[:, 1:] / t[:-1, :1]]
-        return tuple(factors)
+        inv_z = 1.0 / z
+        # K_n(z) exp(z0) from the exp-scaled kernels dodges overflow; the
+        # scale is one factor per column, so the ratios and recurrences keep it
+        scale = np.exp(z0 - z)
+        h, h_next = special.j0(z) + 1j * special.y0(z), special.j1(z) + 1j * special.y1(z)
+        k, k_next = special.k0e(z) * scale, special.k1e(z) * scale
+        for n in range(self.n_modes + 1):
+            if n:
+                two_n_z = (2 * n) * inv_z
+                h, h_next = h_next, two_n_z * h_next - h
+                k, k_next = k_next, k + two_n_z * k_next
+            # Z_n / Z_n(z0) and kappa ((n/z) Z_n - Z_{n+1}) / Z_n(z0)
+            n_z = n * inv_z[1:]
+            hv, kv = h[1:] * (1.0 / h[0]), k[1:] * (1.0 / k[0])
+            hd = (n_z * h[1:] - h_next[1:]) * (self.kappa / h[0])
+            kd = (n_z * k[1:] - k_next[1:]) * (self.kappa / k[0])
+            yield hv, hd, kv, kd
 
     def eval_polar(self, r: np.ndarray, theta: np.ndarray):
         """Fields and Cartesian gradients at polar points.
@@ -130,21 +138,28 @@ class SeriesSolution:
         theta = np.asarray(theta, dtype=float)
         if np.any(r < (1.0 - RADIAL_SLACK) * self.r_cavity):
             raise CavityPointError("evaluation point inside the cavity")
-        hv, hd, kv, kd = self._radial_factors(r.ravel())
-        n = np.arange(self.n_modes + 1)[:, None]
-        ang = np.exp(1j * n * theta.ravel())
-
-        def modal(value, deriv, coeff):
-            # (field, d_r, d_theta) from c_n e^{in theta} +- c_{-n} e^{-in theta}
-            plus = coeff[self.n_modes:, None] * ang
-            minus = np.r_[0, coeff[:self.n_modes][::-1]][:, None] * ang.conj()
-            even, odd = plus + minus, 1j * n * (plus - minus)
-            return [np.einsum("np,np->p", f, a)
-                    for f, a in ((value, even), (deriv, even), (value, odd))]
-
-        vh, dr_h, dt_h = modal(hv, hd, self.coeff_h)
-        vm, dr_m, dt_m = modal(kv, kd, self.coeff_m)
-        ct, st = np.cos(theta.ravel()), np.sin(theta.ravel())
+        th = theta.ravel()
+        step = np.exp(1j * th)
+        ang = np.ones_like(step)  # e^{in theta}, advanced one mode at a time
+        # c_n and c_{-n} for n = 0..N; the n = 0 term is counted once
+        parts = [(c[self.n_modes:], np.r_[0, c[:self.n_modes][::-1]])
+                 for c in (self.coeff_h, self.coeff_m)]
+        # running (field, d_r, d_theta) of the H part, then of the M part
+        sums = np.zeros((2, 3, th.size), dtype=complex)
+        for n, (hv, hd, kv, kd) in enumerate(self._radial_factors(r.ravel())):
+            if n:
+                ang *= step
+            ang_bar = ang.conj()
+            for (plus, minus), (value, deriv), (s_v, s_r, s_t) in zip(
+                    parts, ((hv, hd), (kv, kd)), sums):
+                # c_n e^{in theta} +- c_{-n} e^{-in theta}
+                pos, neg = plus[n] * ang, minus[n] * ang_bar
+                even = pos + neg
+                s_v += value * even
+                s_r += deriv * even
+                s_t += value * ((1j * n) * (pos - neg))
+        (vh, dr_h, dt_h), (vm, dr_m, dt_m) = sums
+        ct, st = step.real, step.imag
         inv_r = 1.0 / r.ravel()
 
         def gradient(d_r, d_t):

@@ -8,6 +8,7 @@ from flexscat import (Circle, IncidentField, Method, assemble_all,
                       assemble_tbc, build_system, generate_mesh,
                       generate_mesh_for_h, incident_load, recover_fields,
                       solve_system)
+from flexscat.series import _mode_ratios
 
 KAPPA = math.pi
 ALPHA = math.pi / 3.0
@@ -26,6 +27,12 @@ def solve_direct(mesh, method, kappa=KAPPA, alpha=ALPHA, radius=R, n=N_TRUNC):
     field = recover_fields(w_vec, system, mesh, IncidentField(kappa, alpha),
                            residual)
     return field, system
+
+
+def mode_determinant(n, kappa, r_cavity):
+    """Determinant of the series oracle's per-mode 2x2 coefficient matrix."""
+    rh, rk = _mode_ratios(n, kappa, r_cavity)
+    return kappa * (rk - rh)
 
 
 @pytest.fixture(scope="session")

@@ -21,10 +21,10 @@ from flexscat.assembly import (assemble_boundary_penalty,
 from flexscat.cli import main, observed_orders
 from flexscat.dtn import hat_fourier
 from flexscat.postproc import boundary_trace, fe_evaluator
-from flexscat.series import boundary_data_coeffs, mode_determinant, solve_mode
+from flexscat.series import boundary_data_coeffs, solve_mode
 from flexscat.specfun import (bessel_j, bessel_y, dtn_symbol_h, dtn_symbol_k,
                               hankel1)
-from conftest import ALPHA, KAPPA, R, RHAT, solve_direct
+from conftest import ALPHA, KAPPA, R, RHAT, mode_determinant, solve_direct
 
 GAMMA = KAPPA * 1e-3
 ETA = 2.5 * KAPPA * 1e-3

@@ -260,7 +260,7 @@ def test_converge_uses_reference_oracle(tmp_path, monkeypatch):
 
 
 def test_sweep_samples_the_oracle_once(tmp_path, monkeypatch):
-    """One oracle evaluation per mesh; a kappa sweep needs one per value."""
+    """One oracle evaluation and one load per mesh; a kappa sweep needs one per value."""
     ref = tmp_path / "ref"
     assert run(["solve", "--h", "0.12", "--oracle", "none", "--out", str(ref)]) == 0
     calls = []
@@ -268,12 +268,17 @@ def test_sweep_samples_the_oracle_once(tmp_path, monkeypatch):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda self, *args, _name=name, _original=original:
                             calls.append(_name) or _original(self, *args))
+    original_load = cli.incident_load
+    monkeypatch.setattr(cli, "incident_load",
+                        lambda *args: calls.append("incident_load") or original_load(*args))
     sweep = ["sweep", "--values", "0.001,0.01,0.1", "--h", "0.2"]
     cases = [
-        ([*sweep, "--param", "gamma"], ["eval_polar"]),
-        ([*sweep, "--param", "eta"], ["eval_polar"]),
-        (["sweep", "--param", "kappa", "--values", "2,3,4", "--h", "0.2"], ["eval_polar"] * 3),
-        ([*sweep, "--param", "gamma", "--oracle", f"reference:{ref}"], ["locate"]),
+        ([*sweep, "--param", "gamma"], ["eval_polar", "incident_load"]),
+        ([*sweep, "--param", "eta"], ["eval_polar", "incident_load"]),
+        (["sweep", "--param", "kappa", "--values", "2,3,4", "--h", "0.2"],
+         ["incident_load", "eval_polar"] * 3),
+        ([*sweep, "--param", "gamma", "--oracle", f"reference:{ref}"],
+         ["locate", "incident_load"]),
     ]
     for k, (argv, expected) in enumerate(cases):
         calls.clear()

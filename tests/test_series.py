@@ -1,15 +1,18 @@
 """Analytic circular-cavity series: per-mode algebra and boundary residuals."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from flexscat.series import (RADIAL_SLACK, SeriesSolution, _mode_ratios,
-                             boundary_data_coeffs, mode_determinant, solve_mode)
+                             boundary_data_coeffs, solve_mode)
 from flexscat.specfun import MAX_ORDER, hankel1
 from flexscat.dtn import IncidentField
+from conftest import mode_determinant
 
 KAPPA = math.pi
 RHAT = 0.3
@@ -125,6 +128,11 @@ def test_truncation_is_converged():
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
+def radial_tables(sol, r):
+    """(hv, hd, kv, kd), each stacked to shape (orders 0..N, points)."""
+    return [np.array(f) for f in zip(*sol._radial_factors(r))]
+
+
 # ids name kappa, and N where it is not the oracle's 25
 RADIAL_CASES = [(k, n) for n in (25, MAX_ORDER) for k in (math.pi, 30.0)]
 
@@ -134,11 +142,11 @@ RADIAL_CASES = [(k, n) for n in (25, MAX_ORDER) for k in (math.pi, 30.0)]
                               for k, n in RADIAL_CASES])
 def test_radial_factors_match_mpmath(kappa, n_modes):
     # H'_n = (H_{n-1} - H_{n+1}) / 2 and K'_n = -(K_{n-1} + K_{n+1}) / 2 at
-    # 40 digits: an independent route to the recurrence-built tables and
+    # 40 digits: an independent route to the recurrence-built factors and
     # the derivatives taken from them
     sol = SeriesSolution.build(kappa, RHAT, ALPHA, n_modes)
     r = np.array([0.99 * RHAT, RHAT, 0.41, 0.6])
-    got = sol._radial_factors(r)  # (orders 0..N, points)
+    got = radial_tables(sol, r)
     with mpmath.workdps(40):
         for n in range(n_modes + 1):
             h_ref = mpmath.hankel1(n, kappa * RHAT)
@@ -156,48 +164,74 @@ def test_radial_factors_match_mpmath(kappa, n_modes):
 
 def test_folded_sum_matches_unfolded_sum():
     # reference: the sum over n = -N..N, each radial factor taken at |n|
-    sol = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25)
     rng = np.random.default_rng(3)
     r, theta = rng.uniform(RHAT, 0.6, 200), rng.uniform(-math.pi, math.pi, 200)
-    orders = np.arange(-25, 26)
-    hv, hd, kv, kd = (f[np.abs(orders)] for f in sol._radial_factors(r))
-    ang = np.exp(1j * np.outer(orders, theta))
-
-    def modal(radial, coeff):
-        return (radial * coeff[:, None] * ang).sum(axis=0)
-
-    ch, cm = sol.coeff_h, sol.coeff_m
-    v_h, v_m = modal(hv, ch), modal(kv, cm)
-    dr_h, dr_m = modal(hd, ch), modal(kd, cm)
-    dt_h, dt_m = modal(hv, 1j * orders * ch), modal(kv, 1j * orders * cm)
 
     def gradient(d_r, d_t):
         return np.stack([d_r * np.cos(theta) - d_t * np.sin(theta) / r,
                          d_r * np.sin(theta) + d_t * np.cos(theta) / r], axis=-1)
 
-    want = {"v": v_m + v_h, "w": v_m - v_h,
-            "grad_v": gradient(dr_m + dr_h, dt_m + dt_h),
-            "grad_w": gradient(dr_m - dr_h, dt_m - dt_h)}
-    got = sol.eval_polar(r, theta)
-    for key, ref in want.items():
-        assert np.max(np.abs(got[key] - ref)) <= 1e-14 * np.max(np.abs(ref)), key
+    for kappa in (math.pi, 30.0):
+        for n_modes in (0, 1, 25, MAX_ORDER):
+            sol = SeriesSolution.build(kappa, RHAT, ALPHA, n_modes)
+            orders = np.arange(-n_modes, n_modes + 1)
+            hv, hd, kv, kd = (f[np.abs(orders)] for f in radial_tables(sol, r))
+            ang = np.exp(1j * np.outer(orders, theta))
+
+            def modal(radial, coeff):
+                return (radial * coeff[:, None] * ang).sum(axis=0)
+
+            ch, cm = sol.coeff_h, sol.coeff_m
+            v_h, v_m = modal(hv, ch), modal(kv, cm)
+            dr_h, dr_m = modal(hd, ch), modal(kd, cm)
+            dt_h, dt_m = modal(hv, 1j * orders * ch), modal(kv, 1j * orders * cm)
+            want = {"v": v_m + v_h, "w": v_m - v_h,
+                    "grad_v": gradient(dr_m + dr_h, dt_m + dt_h),
+                    "grad_w": gradient(dr_m - dr_h, dt_m - dt_h)}
+            got = sol.eval_polar(r, theta)
+            for key, ref in want.items():
+                err = np.max(np.abs(got[key] - ref))
+                assert err <= 1e-14 * np.max(np.abs(ref)), (kappa, n_modes, key)
 
 
 def test_eval_polar_makes_one_call_per_bessel_family(monkeypatch):
+    # every scipy.special kernel eval_polar calls is counted, at two
+    # truncations, so a kernel called once per order or per mode fails here
     from flexscat import series
 
-    calls = {"hankel1": 0, "kve": 0}
-    for name in calls:
-        original = getattr(series.special, name)
+    calls = {}
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    class CountingSpecial:
+        def __getattr__(self, name):
+            original = getattr(special, name)
 
-        monkeypatch.setattr(series.special, name, counted)
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(series, "special", CountingSpecial())
+    for n_modes in (5, MAX_ORDER):
+        sol = SeriesSolution.build(KAPPA, RHAT, ALPHA, n_modes)
+        calls.clear()
+        sol.eval_polar(np.linspace(0.3, 0.6, 50), np.linspace(0.0, 6.0, 50))
+        assert calls == dict.fromkeys(("j0", "y0", "j1", "y1", "k0e", "k1e"), 1), n_modes
+
+
+def test_eval_polar_memory_is_linear_in_points():
+    # the modal sum streams over modes: no (modes x points) table is held
+    points = 20_000
     sol = SeriesSolution.build(KAPPA, RHAT, ALPHA, 25)
-    sol.eval_polar(np.linspace(0.3, 0.6, 50), np.linspace(0.0, 6.0, 50))
-    assert calls == {"hankel1": 1, "kve": 1}
+    rng = np.random.default_rng(5)
+    r, theta = rng.uniform(RHAT, 0.6, points), rng.uniform(-math.pi, math.pi, points)
+    tracemalloc.start()
+    try:
+        sol.eval_polar(r, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * points, f"{peak / points:.0f} bytes per point"
 
 
 def test_points_inside_cavity_rejected():
