@@ -12,17 +12,21 @@ Scalar matrices live on all mesh nodes:
 The coupled system couples a Helmholtz field p and a modified-Helmholtz
 field q that share one unknown per cavity-boundary node.  Unknown ordering
 is (P_I, Q_I, P_T, Q_T, P_D); within each block, mesh node order.  With P
-the 0/1 map from unknowns to the nodal pair (p, q), on whose D rows p and
-q read the same column,
+the 0/1 relabelling from unknowns to the nodal pair (p, q), on whose D rows
+p and q read the same column,
 
     A = P^T blockdiag(B1, -B2) P + DtN,
     B1 = Kbar - kappa^2 Mbar - gamma KbarJ - eta KG,
     B2 = Kbar + kappa^2 Mbar + gamma KbarJ,
 
 where DtN puts -T_p on the P_T block and +T_q on the Q_T block.  A D row
-thus holds the coupling B1 p - B2 q.  The q-field rows are scaled by -1 so
-the assembled matrix is complex symmetric (A = A^T exactly), which the
-direct solver and the sign-structure tests rely on.
+thus holds the coupling B1 p - B2 q.  As P only relabels, build_system
+forms no product: it maps each entry of B1 through p_dof and of -B2
+through q_dof, puts the DtN entries on the T rows, and sums duplicates
+(two terms at most, on D-D and T-T entries) in one sparse conversion.  The
+q-field rows are scaled by -1 so the assembled matrix is complex symmetric
+(A = A^T exactly), which the direct solver and the sign-structure tests
+rely on.
 """
 
 from __future__ import annotations
@@ -274,17 +278,18 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
           - method.eta * scalars.kg)
     b2 = scalars.kbar + kappa**2 * scalars.mbar + method.gamma * scalars.kbar_j
 
-    # P maps the unknowns to nodal (p, q); a D node's p and q share a column
-    n = mesh.n_nodes
-    P = sp.csr_matrix((np.ones(2 * n), (np.arange(2 * n),
-                                        np.concatenate([dof.p_dof, dof.q_dof]))),
-                      shape=(2 * n, dof.size))
-    ni, nd = dof.n_interior, dof.n_cavity
-    dtn = sp.block_diag([sp.csr_matrix((2 * ni, 2 * ni)), -tbc.p_block, tbc.q_block,
-                         sp.csr_matrix((nd, nd))])
-    A = P.T @ sp.block_diag([b1, -b2]) @ P + dtn
-    # the operator is symmetric; duplicate-entry summation order can leave
-    # roundoff asymmetry, so enforce A = A^T exactly
+    # the relabelling P: a D node's p and q entries land in its one shared
+    # row and column, where csr conversion sums them
+    b1, b2 = b1.tocoo(), b2.tocoo()
+    t_p, t_q = dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes]
+    rows, cols, vals = map(np.concatenate, zip(
+        (dof.p_dof[b1.row], dof.p_dof[b1.col], b1.data),
+        (dof.q_dof[b2.row], dof.q_dof[b2.col], -b2.data),
+        (np.repeat(t_p, nt), np.tile(t_p, nt), -tbc.p_block.ravel()),
+        (np.repeat(t_q, nt), np.tile(t_q, nt), tbc.q_block.ravel())))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(dof.size, dof.size))
+    # the operator is symmetric; KbarJ's summation order can leave roundoff
+    # asymmetry, so enforce A = A^T exactly
     A = 0.5 * (A + A.T).tocsr()
 
     F = np.zeros(dof.size, dtype=complex)

@@ -184,21 +184,24 @@ class PointLocator:
     def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(element ids, barycentric coords) per point; raises if outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        k = min(32, len(self.verts))
-        _, cand = self.tree.query(pts, k=k)
-        cand = np.atleast_2d(cand)
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
         remaining = np.arange(len(pts))
-        for col in range(cand.shape[1]):
+        # nearly every point lies in one of its 4 nearest centroids' elements;
+        # only the rest pay for the wider query, scanned from its first column
+        for k in (4, 32):
             if not len(remaining):
                 break
-            b = self._bary(cand[remaining, col], pts[remaining])
-            ok = b.min(axis=1) >= -_BARY_TOL
-            hit = remaining[ok]
-            tri[hit] = cand[hit, col]
-            bary[hit] = b[ok]
-            remaining = remaining[~ok]
+            k = min(k, len(self.verts))
+            cand = self.tree.query(pts[remaining], k=k)[1].reshape(-1, k)
+            for col in range(k):
+                b = self._bary(cand[:, col], pts[remaining])
+                ok = b.min(axis=1) >= -_BARY_TOL
+                tri[remaining[ok]] = cand[ok, col]
+                bary[remaining[ok]] = b[ok]
+                remaining, cand = remaining[~ok], cand[~ok]
+                if not len(remaining):
+                    break
         if len(remaining):  # brute force over every element
             for i in remaining:
                 b = self._bary(np.arange(len(self.verts)), pts[i])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from flexscat.assembly import (AssemblyError, Method, assemble_all,
@@ -12,7 +13,7 @@ from flexscat.assembly import (AssemblyError, Method, assemble_all,
                                build_dof_map, build_system,
                                interior_jump_vector, tri_geometry)
 from flexscat.dtn import assemble_tbc, incident_load
-from flexscat.geometry import Circle, generate_mesh
+from flexscat.geometry import Circle, Kite, generate_mesh, generate_mesh_for_h
 
 KAPPA = math.pi
 R = 0.6
@@ -201,6 +202,42 @@ def test_global_system_rows_match_scalar_operators(coarse_circle_mesh, method):
     assert np.abs(aw[dof.p_dof[free]] - b1p[free]).max() <= 1e-12 * scale
     assert np.abs(aw[dof.q_dof[free]] + b2q[free]).max() <= 1e-12 * scale
     assert np.abs(aw[dof.p_dof[d]] - (b1p - b2q)[d]).max() <= 1e-12 * scale
+
+
+def triple_product_system(mesh, scalars, tbc, kappa, method):
+    """A = P^T blockdiag(B1, -B2) P + DtN as sparse products (reference)."""
+    dof = build_dof_map(mesh)
+    b1 = (scalars.kbar - kappa**2 * scalars.mbar - method.gamma * scalars.kbar_j
+          - method.eta * scalars.kg)
+    b2 = scalars.kbar + kappa**2 * scalars.mbar + method.gamma * scalars.kbar_j
+    n = mesh.n_nodes
+    P = sp.csr_matrix((np.ones(2 * n), (np.arange(2 * n),
+                                        np.concatenate([dof.p_dof, dof.q_dof]))),
+                      shape=(2 * n, dof.size))
+    ni, nd = dof.n_interior, dof.n_cavity
+    dtn = sp.block_diag([sp.csr_matrix((2 * ni, 2 * ni)), -tbc.p_block, tbc.q_block,
+                         sp.csr_matrix((nd, nd))])
+    A = P.T @ sp.block_diag([b1, -b2]) @ P + dtn
+    return 0.5 * (A + A.T).tocsr()
+
+
+@pytest.mark.parametrize("shape, h, method", [
+    (Circle(0.3), 0.1, Method.interior_penalty(KAPPA * 1e-3)),
+    (Circle(0.3), 0.1, Method.regular()),
+    (Kite(0.3, 0.2, 0.1), 0.1, Method.boundary_penalty(2.5 * KAPPA * 1e-3)),
+], ids=["circle-ip", "circle-regular", "kite-bp"])
+def test_global_system_equals_triple_product(shape, h, method):
+    # relabelling the entries sums at most two terms per entry, so it must
+    # reproduce the sparse triple product bit for bit, pattern included
+    mesh = generate_mesh_for_h(shape, R, h)
+    scalars = assemble_all(mesh)
+    tbc = assemble_tbc(mesh, KAPPA, R, 15)
+    load = incident_load(tbc, KAPPA, R, math.pi / 3)
+    A = build_system(mesh, scalars, tbc, load, KAPPA, method).A
+    ref = triple_product_system(mesh, scalars, tbc, KAPPA, method)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert A.data.tobytes() == ref.data.tobytes()
 
 
 def test_build_system_dimension_mismatch(coarse_circle_mesh):

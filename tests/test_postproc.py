@@ -69,6 +69,17 @@ def test_point_evaluation_reproduces_linear_fields(coarse_circle_mesh):
     # the element gradients are exact everywhere, clamped points included
     assert np.allclose(gv, [0.3, -0.8], atol=1e-12)
     assert np.allclose(gw, [0.6, -1.6], atol=1e-12)
+    # the narrow-then-wide candidate query finds what one scan of the 32
+    # nearest centroids finds, bit for bit; some points need the wide query
+    loc = PointLocator(mesh)
+    tri, bary = loc.locate(pts)
+    cand = loc.tree.query(pts, k=32)[1]
+    b = loc._bary(cand, pts[:, None, :])
+    first = np.argmax(b.min(axis=2) >= -1e-10, axis=1)
+    assert first.max() >= 4
+    rows = np.arange(len(pts))
+    assert np.array_equal(tri, cand[rows, first])
+    assert bary.tobytes() == b[rows, first].tobytes()
 
 
 def test_locator_rejects_far_points(coarse_circle_mesh):

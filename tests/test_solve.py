@@ -137,6 +137,33 @@ def test_circle_solve_factors_once(coarse_circle_mesh, monkeypatch):
     assert field.residual <= RESIDUAL_BOUND
 
 
+def test_ip_symmetric_attempt_orders_cavity_unknowns_last(medium_circle_mesh,
+                                                           monkeypatch):
+    _, system = solve_direct(medium_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
+    seen = []
+    original = solve.splu
+
+    def splu(a, **settings):
+        lu = original(a, **settings)
+        seen.append((a, lu))
+        if settings == FACTORIZATIONS[0]:
+            raise RuntimeError("record, then fall back")
+        return lu
+
+    monkeypatch.setattr(solve, "splu", splu)
+    solve_system(system)
+    (_, sym), (colamd_a, _) = seen
+    first = system.dof_map.block_slices()["P_D"].start
+    # column j of A is column perm_c[j] of the factored matrix
+    assert sym.perm_c[first:].min() == first
+    # plain minimum degree on this system keeps 231,204 entries in L + U
+    assert sym.L.nnz + sym.U.nnz < 231_204
+    A = system.A.tocsc()
+    assert np.array_equal(colamd_a.indptr, A.indptr)
+    assert np.array_equal(colamd_a.indices, A.indices)
+    assert np.array_equal(colamd_a.data, A.data)
+
+
 @pytest.mark.parametrize("shape, h, method", [
     (Circle(RHAT), 0.05, Method.interior_penalty(KAPPA * 1e-3)),
     (Kite(0.3, 0.2, 0.1), 0.1, Method.boundary_penalty(2.5 * KAPPA * 1e-3)),
