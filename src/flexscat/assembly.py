@@ -24,9 +24,10 @@ thus holds the coupling B1 p - B2 q.  As P only relabels, build_system
 forms no product: it maps each entry of B1 through p_dof and of -B2
 through q_dof, puts the DtN entries on the T rows, and sums duplicates
 (two terms at most, on D-D and T-T entries) in one sparse conversion.  The
-q-field rows are scaled by -1 so the assembled matrix is complex symmetric
-(A = A^T exactly), which the direct solver and the sign-structure tests
-rely on.
+q-field rows are scaled by -1 so that A = A^T exactly, by construction:
+every block (Kbar, Mbar, KbarJ, KG, DtN) is exactly symmetric and an entry
+of A sums at most two terms, which commute.  The direct solver and the
+sign-structure tests rely on it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Mesh
-
-#: Triangles with area below this are rejected as degenerate.
-AREA_EPS = 1e-14
 
 _MASS_REF = np.array([[2.0, 1.0, 1.0],
                       [1.0, 2.0, 1.0],
@@ -94,24 +92,6 @@ class Method:
 
 
 # ---------------------------------------------------------------------------
-# Element level
-# ---------------------------------------------------------------------------
-
-def tri_geometry(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Areas (M,) and barycentric gradients (M, 3, 2) of CCW triangles (M, 3, 2)."""
-    v = np.asarray(verts, dtype=float)
-    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
-    bad = np.flatnonzero(area <= AREA_EPS)
-    if len(bad):
-        raise AssemblyError(f"degenerate triangle, area = {area[bad[0]]:.3e}")
-    # grad(lambda_i) is the opposite edge rotated by +90 degrees over twice the area
-    edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * area)[:, None, None]
-    return area, grads
-
-
-# ---------------------------------------------------------------------------
 # Global scalar matrices
 # ---------------------------------------------------------------------------
 
@@ -127,8 +107,7 @@ class ScalarMatrices:
 
 def assemble_scalar(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Global stiffness and mass matrices (symmetric by construction)."""
-    n, tris = mesh.n_nodes, mesh.triangles
-    area, grads = tri_geometry(mesh.nodes[tris])
+    n, tris, area, grads = mesh.n_nodes, mesh.triangles, mesh.areas, mesh.grads
     k_loc = area[:, None, None] * (grads @ grads.transpose(0, 2, 1))
     m_loc = area[:, None, None] * _MASS_REF
     ij = (np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel())
@@ -137,9 +116,13 @@ def assemble_scalar(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return kbar, mbar
 
 
-def _jump_vector(mesh: Mesh, edge_index: int,
-                 grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """interior_jump_vector from precomputed element gradients (M, 3, 2)."""
+def interior_jump_vector(mesh: Mesh, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse jump vector g_e of [d_nu phi] across one interior edge.
+
+    Returns (node_ids, coefficients).  The normal points from the adjacent
+    element with the smaller element index to the other one; flipping that
+    convention flips g_e's sign, which cancels in g_e g_e^T.
+    """
     a, b = mesh.interior_edges[edge_index]
     k_lo, k_hi = mesh.edge_tris[edge_index]  # ascending element order
     tang = mesh.nodes[b] - mesh.nodes[a]
@@ -152,7 +135,7 @@ def _jump_vector(mesh: Mesh, edge_index: int,
         normal = -normal
     # one row dot product per node: a matrix-vector product would round the
     # normal derivatives differently from the per-node np.dot they replace
-    dn = (grads[[k_lo, k_hi], :, None, :] @ normal[:, None]).reshape(2, 3).tolist()
+    dn = (mesh.grads[[k_lo, k_hi], :, None, :] @ normal[:, None]).reshape(2, 3).tolist()
     coeffs: dict[int, float] = {}
     for k, sign, d in ((k_lo, 1.0, dn[0]), (k_hi, -1.0, dn[1])):
         for node, x in zip(mesh.triangles[k].tolist(), d):
@@ -161,29 +144,19 @@ def _jump_vector(mesh: Mesh, edge_index: int,
     return ids, np.array([coeffs[i] for i in ids])
 
 
-def interior_jump_vector(mesh: Mesh, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse jump vector g_e of [d_nu phi] across one interior edge.
-
-    Returns (node_ids, coefficients).  The normal points from the adjacent
-    element with the smaller element index to the other one; flipping that
-    convention flips g_e's sign, which cancels in g_e g_e^T.
-    """
-    _, grads = tri_geometry(mesh.nodes[mesh.triangles])
-    return _jump_vector(mesh, edge_index, grads)
-
-
 def assemble_interior_penalty(mesh: Mesh) -> sp.csr_matrix:
     """KbarJ = sum_e h_e^2 g_e g_e^T over all interior edges (unscaled)."""
     n = mesh.n_nodes
-    _, grads = tri_geometry(mesh.nodes[mesh.triangles])
     rows, cols, vals = [], [], []
     for e in range(len(mesh.interior_edges)):
-        ids, g = _jump_vector(mesh, e, grads)
+        ids, g = interior_jump_vector(mesh, e)
         rows.append(np.repeat(ids, len(ids)))
         cols.append(np.tile(ids, len(ids)))
         vals.append((mesh.edge_lengths[e] ** 2 * np.outer(g, g)).ravel())
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    # the edge sums can round (i, j) and (j, i) apart: symmetrize exactly, once
+    kj = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n)).tocsr()
+    return 0.5 * (kj + kj.T)
 
 
 def assemble_boundary_penalty(mesh: Mesh) -> sp.csr_matrix:
@@ -254,7 +227,6 @@ class BlockSystem:
     A: sp.csr_matrix
     F: np.ndarray
     dof_map: DofMap
-    kappa: float
     method: Method
 
 
@@ -287,11 +259,10 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
         (dof.q_dof[b2.row], dof.q_dof[b2.col], -b2.data),
         (np.repeat(t_p, nt), np.tile(t_p, nt), -tbc.p_block.ravel()),
         (np.repeat(t_q, nt), np.tile(t_q, nt), tbc.q_block.ravel())))
+    # every block is exactly symmetric and each entry sums at most two
+    # terms, so A = A^T exactly without a repair pass
     A = sp.csr_matrix((vals, (rows, cols)), shape=(dof.size, dof.size))
-    # the operator is symmetric; KbarJ's summation order can leave roundoff
-    # asymmetry, so enforce A = A^T exactly
-    A = 0.5 * (A + A.T).tocsr()
 
     F = np.zeros(dof.size, dtype=complex)
     F[dof.p_dof[mesh.t_nodes]] = load_t
-    return BlockSystem(A, F, dof, kappa, method)
+    return BlockSystem(A, F, dof, method)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,9 @@ _CONTAINMENT_SAMPLES = 720
 
 #: Largest n_angular the h-driven search tries.
 MAX_ANGULAR = 8192
+
+#: Triangles with area below this are rejected as degenerate by Mesh.grads.
+AREA_EPS = 1e-14
 
 
 class MeshError(Exception):
@@ -157,16 +161,20 @@ class Mesh:
     cavity_loop, truncation_loop : node ids ordered counter-clockwise
         around each boundary, starting at the smallest polar angle
     warnings : notes from import (e.g. auto-fixed orientation)
+
+    areas and grads are the one source of element geometry.  They and the
+    other derived arrays (node class lists, h) are cached on first use,
+    which assumes the mesh is never mutated after construction.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     node_class: np.ndarray
-    interior_edges: np.ndarray = field(repr=False, default=None)
-    edge_tris: np.ndarray = field(repr=False, default=None)
-    edge_lengths: np.ndarray = field(repr=False, default=None)
-    cavity_loop: np.ndarray = field(repr=False, default=None)
-    truncation_loop: np.ndarray = field(repr=False, default=None)
+    interior_edges: np.ndarray = field(init=False, repr=False)
+    edge_tris: np.ndarray = field(init=False, repr=False)
+    edge_lengths: np.ndarray = field(init=False, repr=False)
+    cavity_loop: np.ndarray = field(init=False, repr=False)
+    truncation_loop: np.ndarray = field(init=False, repr=False)
     generator: _Generator | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -186,15 +194,15 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
+    @cached_property
     def interior_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.node_class == "I")
 
-    @property
+    @cached_property
     def t_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.node_class == "T")
 
-    @property
+    @cached_property
     def d_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.node_class == "D")
 
@@ -204,7 +212,7 @@ class Mesh:
         return (2 * len(self.interior_nodes) + 2 * len(self.t_nodes)
                 + len(self.d_nodes))
 
-    @property
+    @cached_property
     def h(self) -> float:
         """Mesh size: the maximum edge length over all triangle edges."""
         return _longest_side(self.nodes[self.triangles])
@@ -214,8 +222,25 @@ class Mesh:
         pts = self.nodes[self.t_nodes]
         return np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
 
+    @cached_property
     def areas(self) -> np.ndarray:
+        """Triangle areas (M,)."""
         return _signed_areas(self.nodes[self.triangles])
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """Barycentric gradients (M, 3, 2), constant per triangle.
+
+        Raises MeshError if a triangle's area is at most AREA_EPS.
+        """
+        bad = np.flatnonzero(self.areas <= AREA_EPS)
+        if len(bad):
+            raise MeshError(f"degenerate triangle, area = {self.areas[bad[0]]:.3e}")
+        v = self.nodes[self.triangles]
+        # grad(lambda_i) is the opposite edge rotated by +90 degrees over twice the area
+        edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+        return (np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
+                / (2.0 * self.areas)[:, None, None])
 
     @property
     def truncation_radius(self) -> float:
@@ -291,7 +316,7 @@ class Mesh:
         return np.array(loop[k:] + loop[:k], dtype=np.int64)
 
     def _validate(self):
-        areas = self.areas()
+        areas = self.areas
         bad = ~((0 < areas) & (areas < np.inf))
         if np.any(bad):
             raise MeshError(f"{int(np.sum(bad))} triangles have non-positive or non-finite area")

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .assembly import Method, tri_geometry
+from .assembly import Method
 from .geometry import Mesh
 from .solve import SolutionField
 from .table import format_rows, parse_rows
@@ -104,8 +104,7 @@ def _fe_values(mesh: Mesh, nodal: np.ndarray, rule_pts: np.ndarray):
 
 def _fe_gradients(mesh: Mesh, nodal: np.ndarray):
     """Constant per-element gradient (M, 2) of a nodal field."""
-    _, grads = tri_geometry(mesh.nodes[mesh.triangles])
-    return np.einsum("mb,mbx->mx", nodal[mesh.triangles], grads)
+    return np.einsum("mb,mbx->mx", nodal[mesh.triangles], mesh.grads)
 
 
 def exact_samples(mesh: Mesh, exact, rule: str = "deg4"):
@@ -118,7 +117,7 @@ def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
     """Relative L2 and H1(semi) errors of v and w against ``exact_samples``."""
     rule, v_e, w_e, gv_e, gw_e = samples
     pts_b, wts = _RULES[rule]
-    areas = mesh.areas()
+    areas = mesh.areas
     v_h = _fe_values(mesh, field.v, pts_b)
     w_h = _fe_values(mesh, field.w, pts_b)
     gv_h = _fe_gradients(mesh, field.v)[:, None, :]

@@ -104,7 +104,8 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
     if none does: each factorization fails, or its solution is non-finite or
     has a relative residual above RESIDUAL_BOUND.
     """
-    A = system.A.tocsc()
+    # A = A^T exactly, so A's own arrays read as CSC are A: no copy
+    A = system.A.T
     f_norm = np.linalg.norm(system.F)
     a_norm = abs(A).sum(axis=0).max()  # induced 1-norm
 

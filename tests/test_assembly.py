@@ -11,9 +11,10 @@ from flexscat.assembly import (AssemblyError, Method, assemble_all,
                                assemble_boundary_penalty,
                                assemble_interior_penalty, assemble_scalar,
                                build_dof_map, build_system,
-                               interior_jump_vector, tri_geometry)
+                               interior_jump_vector)
 from flexscat.dtn import assemble_tbc, incident_load
-from flexscat.geometry import Circle, Kite, generate_mesh, generate_mesh_for_h
+from flexscat.geometry import (AREA_EPS, Circle, Kite, Mesh, MeshError,
+                               generate_mesh, generate_mesh_for_h)
 
 KAPPA = math.pi
 R = 0.6
@@ -21,8 +22,11 @@ R = 0.6
 
 def local_matrices(verts):
     """Exact stiffness and mass matrices of one linear element (reference)."""
-    area, grads = tri_geometry(np.asarray(verts, dtype=float)[None])
-    return area[0] * (grads[0] @ grads[0].T), area[0] * (1.0 + np.eye(3)) / 12.0
+    # lambda_i = c_0i + c_1i x + c_2i y is column i of inv([1, x, y] rows)
+    vander = np.column_stack([np.ones(3), np.asarray(verts, dtype=float)])
+    grads = np.linalg.inv(vander)[1:].T
+    area = 0.5 * abs(np.linalg.det(vander))
+    return area * (grads @ grads.T), area * (1.0 + np.eye(3)) / 12.0
 
 
 def test_local_matrices_reference_triangle():
@@ -53,9 +57,13 @@ def test_local_matrices_match_quadrature_on_random_triangle():
     assert np.all(np.linalg.eigvalsh(k) >= -1e-14)
 
 
-def test_local_matrices_reject_degenerate_triangle():
-    with pytest.raises(AssemblyError):
-        local_matrices(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+def test_assembly_rejects_degenerate_triangles():
+    # a valid mesh whose areas all fall below AREA_EPS
+    mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
+    tiny = Mesh(1e-8 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
+    assert tiny.areas.max() <= AREA_EPS
+    with pytest.raises(MeshError, match=r"^degenerate triangle, area = \d\.\d{3}e-\d+$"):
+        assemble_all(tiny)
 
 
 def test_global_scalar_matrices(coarse_circle_mesh):
@@ -73,10 +81,10 @@ def test_global_scalar_matrices(coarse_circle_mesh):
     assert (mbar != mbar.T).nnz == 0
     ones = np.ones(coarse_circle_mesh.n_nodes)
     assert np.allclose(kbar @ ones, 0.0, atol=1e-12)
-    assert mbar.sum() == pytest.approx(coarse_circle_mesh.areas().sum())
+    assert mbar.sum() == pytest.approx(coarse_circle_mesh.areas.sum())
     # a linear field x has energy int |grad x|^2 = domain area
     x = coarse_circle_mesh.nodes[:, 0]
-    assert x @ (kbar @ x) == pytest.approx(coarse_circle_mesh.areas().sum())
+    assert x @ (kbar @ x) == pytest.approx(coarse_circle_mesh.areas.sum())
 
 
 def test_interior_jump_vector_kills_linear_fields(coarse_circle_mesh):
@@ -94,12 +102,14 @@ def test_interior_jump_vector_sign_convention_cancels(coarse_circle_mesh):
     assert np.allclose(outer, outer.T)
 
 
-def test_interior_penalty_matrix_properties(coarse_circle_mesh):
+def test_interior_penalty_matrix_properties(coarse_circle_mesh, medium_circle_mesh):
     kj = assemble_interior_penalty(coarse_circle_mesh)
+    # summing the edge blocks rounds (i, j) and (j, i) apart; the assembly
+    # symmetrizes, so KbarJ = KbarJ^T exactly, also on circle h 0.05 and kite h 0.2
+    for other in (kj, assemble_interior_penalty(medium_circle_mesh),
+                  assemble_interior_penalty(generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2))):
+        assert (other != other.T).nnz == 0
     dense = kj.toarray()
-    # per-edge blocks are exact outer products; global summation order may
-    # differ between (i, j) and (j, i), so symmetry holds to roundoff
-    assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
     evals = np.linalg.eigvalsh(dense)
     assert evals.min() >= -1e-12 * np.abs(dense).max()
     ones = np.ones(coarse_circle_mesh.n_nodes)

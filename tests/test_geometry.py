@@ -73,7 +73,7 @@ def test_structured_mesh_counts_and_classes():
     assert len(mesh.t_nodes) == na
     assert len(mesh.interior_nodes) == (nr - 1) * na
     assert mesh.n_dofs == 2 * (nr - 1) * na + 2 * na + na
-    assert np.all(mesh.areas() > 0)
+    assert np.all(mesh.areas > 0)
     assert np.allclose(np.linalg.norm(mesh.nodes[mesh.t_nodes], axis=1), 0.6)
     assert np.allclose(np.linalg.norm(mesh.nodes[mesh.d_nodes], axis=1), 0.3)
 
@@ -82,7 +82,7 @@ def test_mesh_area_approximates_annulus():
     mesh = generate_mesh(Circle(0.3), 0.6, 8, 96)
     exact = math.pi * (0.6 ** 2 - 0.3 ** 2)
     # polygonal boundaries undershoot by O(h^2)
-    assert mesh.areas().sum() == pytest.approx(exact, rel=5e-3)
+    assert mesh.areas.sum() == pytest.approx(exact, rel=5e-3)
 
 
 def test_boundary_loops_ordered_counterclockwise():
@@ -259,5 +259,5 @@ def test_validation_catches_inverted_and_misclassified():
 def test_graded_meshes_stay_valid_under_refinement():
     mesh = generate_mesh_for_h(Kite(0.3, 0.2, 0.1), 0.6, 0.2)
     fine = refine(mesh)
-    assert np.all(fine.areas() > 0)
+    assert np.all(fine.areas > 0)
     assert fine.n_dofs > mesh.n_dofs

@@ -95,8 +95,7 @@ def test_iterative_refinement_reaches_backward_error_bound():
     from flexscat.assembly import BlockSystem, DofMap
 
     dof = DofMap(np.arange(n), np.arange(n), n // 2, 0, 0)
-    system = BlockSystem(A=a, F=f, dof_map=dof, kappa=1.0,
-                         method=Method.regular())
+    system = BlockSystem(A=a, F=f, dof_map=dof, method=Method.regular())
     w, residual = solve_system(system)
     assert residual <= RESIDUAL_BOUND
     assert np.allclose(w * diag, f)
@@ -135,6 +134,23 @@ def test_circle_solve_factors_once(coarse_circle_mesh, monkeypatch):
     field, _ = solve_direct(coarse_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
     assert calls == [FACTORIZATIONS[0]]
     assert field.residual <= RESIDUAL_BOUND
+
+
+def test_plain_attempt_factors_the_arrays_of_a(coarse_regular_solution, monkeypatch):
+    # A = A^T exactly, so its CSR arrays read as CSC are A: no copy is made
+    _, system = coarse_regular_solution
+    seen = []
+    original = solve.splu
+
+    def splu(a, **settings):
+        seen.append(a)
+        return original(a, **settings)
+
+    monkeypatch.setattr(solve, "splu", splu)
+    solve_system(system)
+    (a,) = seen
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(a, name), getattr(system.A, name))
 
 
 def test_ip_symmetric_attempt_orders_cavity_unknowns_last(medium_circle_mesh,
