@@ -28,12 +28,24 @@ q-field rows are scaled by -1 so that A = A^T exactly, by construction:
 every block (Kbar, Mbar, KbarJ, KG, DtN) is exactly symmetric and an entry
 of A sums at most two terms, which commute.  The direct solver and the
 sign-structure tests rely on it.
+
+A sweep solves many systems on one mesh that differ only in kappa, the
+penalty value and the TBC.  A's pattern depends on the mesh and the method
+kind alone (a zero penalty adds no entries), so build_system keeps one
+SystemPattern per ScalarMatrices and kind.  The first system of a kind is
+built as above and pays nothing more.  The second derives the pattern
+stage: A's CSR structure, the slot of every relabelled entry, and the
+scalar terms aligned to one node-pair pattern.  Every later system is a
+value stage: B1 and B2 in the same operation order as the sparse sums,
+then one gather and one add into A.data.  A is bit-identical to the
+general build, pattern included; a system whose B1 or B2 cancels to an
+exact zero, which the sparse sums would drop, takes the general build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,12 +109,17 @@ class Method:
 
 @dataclass
 class ScalarMatrices:
-    """Global real matrices over all mesh nodes (penalties unscaled)."""
+    """Global real matrices over all mesh nodes (penalties unscaled).
+
+    Never mutated once assembled: `patterns` keeps, per method kind, the
+    SystemPattern that build_system derives from them.
+    """
 
     kbar: sp.csr_matrix
     mbar: sp.csr_matrix
     kbar_j: sp.csr_matrix
     kg: sp.csr_matrix
+    patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def assemble_scalar(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -228,6 +245,92 @@ class BlockSystem:
     F: np.ndarray
     dof_map: DofMap
     method: Method
+    pattern: SystemPattern | None = None
+
+
+def _node_pair_keys(m: sp.csr_matrix) -> np.ndarray:
+    """row * n + col of each stored entry of a square CSR matrix, in order."""
+    n = m.shape[0]
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) * n + m.indices
+
+
+def _entry_positions(mesh: Mesh, dof: DofMap, b1_ij, b2_ij) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) in A of B1's entries by p_dof, -B2's by q_dof, then the
+    -T_p and T_q blocks: the order in which build_system lists A's entries."""
+    t_p, t_q = dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes]
+    nt = len(t_p)
+    rows = (dof.p_dof[b1_ij[0]], dof.q_dof[b2_ij[0]], np.repeat(t_p, nt), np.repeat(t_q, nt))
+    cols = (dof.p_dof[b1_ij[1]], dof.q_dof[b2_ij[1]], np.tile(t_p, nt), np.tile(t_q, nt))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+class SystemPattern:
+    """A's structure for one method kind on one mesh's scalar matrices.
+
+    Derived at the kind's second build_system call, so that a single solve
+    pays nothing for it.  `ordering` is left to the solver, which keeps the
+    fill-reducing permutation of A's pattern there.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.dof = build_dof_map(mesh)
+        self.ordering = None
+        self.terms: tuple[np.ndarray, ...] | None = None  # None: not derived yet
+        self.indptr = self.indices = None
+
+    def _derive(self, scalars: ScalarMatrices, kind: str) -> None:
+        mats = [scalars.kbar, scalars.mbar] + {"regular": [], "ip": [scalars.kbar_j],
+                                               "bp": [scalars.kg]}[kind]
+        if not all(m.has_canonical_format for m in mats):
+            self.terms = ()  # a duplicate entry would be summed, not aligned
+            return
+        # node pairs of B1 and B2: a zero penalty adds no entries to either
+        keys = [_node_pair_keys(m) for m in mats]
+        pairs = np.unique(np.concatenate(keys))
+        self.terms = tuple(np.zeros(len(pairs)) for _ in mats)
+        for m, k, aligned in zip(mats, keys, self.terms):
+            aligned[np.searchsorted(pairs, k)] = m.data
+        ij = np.divmod(pairs, self.mesh.n_nodes)
+        rows, cols = _entry_positions(self.mesh, self.dof, ij, ij)
+        size = self.dof.size
+        slots, self.first, inverse = np.unique(rows * size + cols, return_index=True,
+                                               return_inverse=True)
+        # a slot holds at most two entries (see build_system)
+        self.dup_src = np.flatnonzero(self.first[inverse] != np.arange(len(rows)))
+        self.dup_slot = inverse[self.dup_src]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(slots // size, minlength=size))])
+        skeleton = sp.csr_matrix((np.zeros(len(slots)), slots % size, indptr),
+                                 shape=(size, size))
+        self.indptr, self.indices = skeleton.indptr, skeleton.indices
+
+    def fill(self, scalars: ScalarMatrices, tbc, kappa: float,
+             method: Method) -> sp.csr_matrix | None:
+        """A on this pattern, or None where the general build must run."""
+        if self.terms is None:
+            self._derive(scalars, method.kind)
+        if not self.terms:
+            return None
+        kbar, mbar, *penalty = self.terms
+        # the sparse sums' operation order; an absent term reads 0 there too
+        b1 = kbar - kappa**2 * mbar
+        b2 = kbar + kappa**2 * mbar
+        if method.kind == "ip":
+            b1 = b1 - method.gamma * penalty[0]
+            b2 = b2 + method.gamma * penalty[0]
+        elif method.kind == "bp":
+            b1 = b1 - method.eta * penalty[0]
+        if not (b1.all() and b2.all()):
+            return None  # the sparse sums drop an exact zero
+        vals = np.concatenate([b1, -b2, -tbc.p_block.ravel(), tbc.q_block.ravel()])
+        data = vals[self.first]
+        data[self.dup_slot] += vals[self.dup_src]
+        size = self.dof.size
+        A = sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
+        # the pattern's own arrays, not views: the solver tells a system
+        # filled into this pattern by their identity
+        A.indptr, A.indices = self.indptr, self.indices
+        return A
 
 
 def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
@@ -241,11 +344,26 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
     load_t : complex vector over T nodes
         Incident-field load; lands on the p-field T rows.
     """
-    dof = build_dof_map(mesh)
+    pattern = scalars.patterns.get(method.kind)
+    later = pattern is not None and pattern.mesh is mesh
+    if not later:
+        pattern = scalars.patterns[method.kind] = SystemPattern(mesh)
+    dof = pattern.dof
     nt = dof.n_trunc
     if tbc.p_block.shape != (nt, nt) or len(load_t) != nt:
         raise AssemblyError("TBC/load dimensions do not match the mesh T nodes")
 
+    A = pattern.fill(scalars, tbc, kappa, method) if later else None
+    if A is None:
+        A = _relabel(mesh, scalars, tbc, kappa, method, dof)
+    F = np.zeros(dof.size, dtype=complex)
+    F[dof.p_dof[mesh.t_nodes]] = load_t
+    return BlockSystem(A, F, dof, method, pattern)
+
+
+def _relabel(mesh: Mesh, scalars: ScalarMatrices, tbc, kappa: float, method: Method,
+             dof: DofMap) -> sp.csr_matrix:
+    """The general build: B1 and B2 as sparse sums, relabelled in one conversion."""
     b1 = (scalars.kbar - kappa**2 * scalars.mbar - method.gamma * scalars.kbar_j
           - method.eta * scalars.kg)
     b2 = scalars.kbar + kappa**2 * scalars.mbar + method.gamma * scalars.kbar_j
@@ -253,16 +371,8 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
     # the relabelling P: a D node's p and q entries land in its one shared
     # row and column, where csr conversion sums them
     b1, b2 = b1.tocoo(), b2.tocoo()
-    t_p, t_q = dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes]
-    rows, cols, vals = map(np.concatenate, zip(
-        (dof.p_dof[b1.row], dof.p_dof[b1.col], b1.data),
-        (dof.q_dof[b2.row], dof.q_dof[b2.col], -b2.data),
-        (np.repeat(t_p, nt), np.tile(t_p, nt), -tbc.p_block.ravel()),
-        (np.repeat(t_q, nt), np.tile(t_q, nt), tbc.q_block.ravel())))
+    rows, cols = _entry_positions(mesh, dof, (b1.row, b1.col), (b2.row, b2.col))
+    vals = np.concatenate([b1.data, -b2.data, -tbc.p_block.ravel(), tbc.q_block.ravel()])
     # every block is exactly symmetric and each entry sums at most two
     # terms, so A = A^T exactly without a repair pass
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(dof.size, dof.size))
-
-    F = np.zeros(dof.size, dtype=complex)
-    F[dof.p_dof[mesh.t_nodes]] = load_t
-    return BlockSystem(A, F, dof, method)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dof.size, dof.size))

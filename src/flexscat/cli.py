@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,8 +325,8 @@ def _parse_values(args) -> list[float]:
             raise ConfigError(f"--values must be comma-separated numbers, "
                               f"not {args.values!r}") from None
     lo, hi, count = args.logspace
-    if not (lo > 0 and hi > 0 and count >= 1 and count.is_integer()):
-        raise ConfigError("--logspace needs LO > 0, HI > 0 and a positive integer COUNT")
+    if not (0 < lo < math.inf and 0 < hi < math.inf and count >= 1 and count.is_integer()):
+        raise ConfigError("--logspace needs finite LO > 0, HI > 0 and a positive integer COUNT")
     return list(np.logspace(math.log10(lo), math.log10(hi), int(count)))
 
 
@@ -371,23 +372,28 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         out_dir = Path(cfg.out_dir)
-        if args.command == "mesh":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            mesh = build_config_mesh(cfg)
-            (out_dir / "mesh.txt").write_text(export_mesh(mesh))
-            meta = {"h": mesh.h, "dofs": mesh.n_dofs,
-                    "nodes": mesh.n_nodes, "triangles": mesh.n_triangles,
-                    "shape": shape_to_dict(cfg.shape)}
-            (out_dir / "mesh_metadata.json").write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        elif args.command == "solve":
-            run_solve(cfg, out_dir)
-        elif args.command == "sweep":
-            run_sweep(cfg, args.param, _parse_values(args), out_dir)
-        elif args.command == "converge":
-            run_convergence(cfg, args.levels, out_dir)
-        elif args.command == "analytic":
-            run_analytic(cfg, args.nr, args.ntheta, out_dir)
+        # numpy's overflow or invalid-operation warning anywhere in a run is a
+        # numerical failure, not a warning beside results that hold inf or nan
+        # (a warnings filter costs nothing until a warning is issued)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if args.command == "mesh":
+                out_dir.mkdir(parents=True, exist_ok=True)
+                mesh = build_config_mesh(cfg)
+                (out_dir / "mesh.txt").write_text(export_mesh(mesh))
+                meta = {"h": mesh.h, "dofs": mesh.n_dofs,
+                        "nodes": mesh.n_nodes, "triangles": mesh.n_triangles,
+                        "shape": shape_to_dict(cfg.shape)}
+                (out_dir / "mesh_metadata.json").write_text(
+                    json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            elif args.command == "solve":
+                run_solve(cfg, out_dir)
+            elif args.command == "sweep":
+                run_sweep(cfg, args.param, _parse_values(args), out_dir)
+            elif args.command == "converge":
+                run_convergence(cfg, args.levels, out_dir)
+            elif args.command == "analytic":
+                run_analytic(cfg, args.nr, args.ntheta, out_dir)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -396,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     except (MeshError, AssemblyError, SolverError, PostprocError,
-            OverflowError) as exc:
+            OverflowError, RuntimeWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

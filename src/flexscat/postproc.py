@@ -159,16 +159,22 @@ _CLAMP_FRACTION = 0.025
 
 
 class PointLocator:
-    """Triangle lookup by centroid KD-tree with brute-force fallback."""
+    """Triangle lookup by centroid KD-tree, with a scan of the nearby elements
+    for the points that no nearest-centroid candidate contains."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
         self.clamp_dist = _CLAMP_FRACTION * float(np.linalg.norm(span))
         self.verts = mesh.nodes[mesh.triangles]
+        centroids = self.verts.mean(axis=1)
+        # an element that contains a point, or clamps it within clamp_dist, has
+        # its centroid within clamp_dist + reach of it (a hair more for roundoff)
+        reach = float(np.linalg.norm(self.verts - centroids[:, None], axis=2).max())
+        self.scan_radius = (self.clamp_dist + reach) * (1.0 + 1e-9)
         # imported here: runs that never locate a point skip loading scipy.spatial
         from scipy.spatial import cKDTree
-        self.tree = cKDTree(self.verts.mean(axis=1))
+        self.tree = cKDTree(centroids)
 
     def _bary(self, tri_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         v = self.verts[tri_ids]
@@ -201,25 +207,28 @@ class PointLocator:
                 remaining, cand = remaining[~ok], cand[~ok]
                 if not len(remaining):
                     break
-        if len(remaining):  # brute force over every element
-            for i in remaining:
-                b = self._bary(np.arange(len(self.verts)), pts[i])
-                ok = np.flatnonzero(b.min(axis=1) >= -_BARY_TOL)
-                if len(ok):
-                    tri[i] = ok[0]
-                    bary[i] = b[ok[0]]
-                else:
-                    # Slightly outside (e.g. in the sliver between a coarse
-                    # boundary chord and a finer one): clamp onto the closest
-                    # element, within a physical distance bound.
-                    clamped = np.clip(b, 0.0, None)
-                    clamped /= clamped.sum(axis=1, keepdims=True)
-                    proj = np.einsum("tb,tbx->tx", clamped, self.verts)
-                    dist = np.linalg.norm(proj - pts[i], axis=1)
-                    best = int(np.argmin(dist))
-                    if dist[best] <= self.clamp_dist:
-                        tri[i] = best
-                        bary[i] = clamped[best]
+        # the rest scan, in ascending element order, every element near enough
+        # to contain or clamp them: the same choice as a scan of all elements
+        near = self.tree.query_ball_point(pts[remaining], self.scan_radius)
+        for i, cand in zip(remaining, near):
+            cand = np.array(sorted(cand), dtype=np.int64)
+            b = self._bary(cand, pts[i])
+            ok = np.flatnonzero(b.min(axis=1) >= -_BARY_TOL)
+            if len(ok):
+                tri[i] = cand[ok[0]]
+                bary[i] = b[ok[0]]
+            elif len(cand):
+                # Slightly outside (e.g. in the sliver between a coarse
+                # boundary chord and a finer one): clamp onto the closest
+                # element, within a physical distance bound.
+                clamped = np.clip(b, 0.0, None)
+                clamped /= clamped.sum(axis=1, keepdims=True)
+                proj = np.einsum("tb,tbx->tx", clamped, self.verts[cand])
+                dist = np.linalg.norm(proj - pts[i], axis=1)
+                best = int(np.argmin(dist))
+                if dist[best] <= self.clamp_dist:
+                    tri[i] = cand[best]
+                    bary[i] = clamped[best]
         if np.any(tri < 0):
             bad = pts[tri < 0]
             raise PostprocError(f"{len(bad)} points outside the mesh, first: {bad[:3].tolist()}")

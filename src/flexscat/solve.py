@@ -9,6 +9,11 @@ costs most (nnz(L+U) 3.28M against 2.65M on a 13,520-dof kite), the
 symmetric attempt factors a copy of A that also stores explicit zeros for
 every pair of cavity unknowns; that orders them last, as a constrained
 minimum degree (CAMD) would, and leaves A's values unchanged.
+Minimum degree reads A's pattern alone, so the permutation of an attempt
+that passes is kept with A's SystemPattern.  A later system filled into
+that pattern (the next value of a sweep: same mesh and method kind) is
+factored pre-permuted, P A P^T with the NATURAL ordering in symmetric
+mode: the same attempt without the ordering work or the clique copy.
 One or two iterative-refinement sweeps reuse the factors to recover digits
 lost to pivoting and conditioning.  The gate is a finite solution whose
 normwise backward error on the original A is at most RESIDUAL_BOUND; an
@@ -39,6 +44,9 @@ RESIDUAL_BOUND = 1e-10
 #: splu settings in the order they are tried: symmetric mode, then COLAMD.
 FACTORIZATIONS = ({"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                    "options": {"SymmetricMode": True}}, {})
+#: the symmetric attempt on a matrix already permuted by a kept ordering
+PERMUTED = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+            "options": {"SymmetricMode": True}}
 
 
 class SolverError(Exception):
@@ -97,12 +105,60 @@ def _cavity_last(A: sp.csc_matrix, n_cavity: int) -> sp.csc_matrix:
                          shape=A.shape)
 
 
+class _Ordering:
+    """A passing symmetric attempt's permutation and the pattern it was
+    computed on; unknown i is row and column perm[i] of P A P^T."""
+
+    def __init__(self, A: sp.csr_matrix, perm: np.ndarray):
+        self.indptr, self.indices = A.indptr, A.indices
+        self.perm = perm.copy()  # splu's array would keep the factors alive
+        self._gather = None
+
+    def fits(self, A: sp.csr_matrix) -> bool:
+        return np.array_equal(A.indptr, self.indptr) and np.array_equal(A.indices, self.indices)
+
+    def factor(self, A: sp.csr_matrix):
+        """splu of P A P^T, which A = A^T lets us store as CSR and read as CSC."""
+        if self._gather is None:
+            n = A.shape[0]
+            rows = self.perm[np.repeat(np.arange(n), np.diff(A.indptr))].astype(np.int64)
+            cols = self.perm[A.indices]
+            order = np.argsort(rows * n + cols)
+            indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(A.indptr.dtype)
+            self._gather = order, cols[order], indptr
+        order, indices, indptr = self._gather
+        lu = splu(sp.csc_matrix((A.data[order], indices, indptr), shape=A.shape), **PERMUTED)
+        return _Permuted(lu, self.perm)
+
+
+class _Permuted:
+    """Solves A x = b with the factors of P A P^T."""
+
+    def __init__(self, lu, perm: np.ndarray):
+        self.lu, self.perm = lu, perm
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        c = np.empty_like(b)
+        c[self.perm] = b
+        return self.lu.solve(c)[self.perm]
+
+
+def _kept_ordering(system: BlockSystem) -> _Ordering | None:
+    """The pattern's kept ordering, for a system filled into that pattern."""
+    pattern = system.pattern
+    if pattern is None or pattern.ordering is None or system.A.indices is not pattern.indices:
+        return None
+    return pattern.ordering if pattern.ordering.fits(system.A) else None
+
+
 def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
     """Solve A W = F; returns (W, relative residual).
 
-    Returns the first of FACTORIZATIONS to pass the gate.  Raises SolverError
-    if none does: each factorization fails, or its solution is non-finite or
-    has a relative residual above RESIDUAL_BOUND.
+    Returns the first of FACTORIZATIONS to pass the gate; a system filled
+    into a pattern with a kept ordering tries the PERMUTED attempt in place
+    of the symmetric one.  Raises SolverError if none passes: each
+    factorization fails, or its solution is non-finite or has a relative
+    residual above RESIDUAL_BOUND.
     """
     # A = A^T exactly, so A's own arrays read as CSC are A: no copy
     A = system.A.T
@@ -116,13 +172,17 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
         denom = a_norm * np.linalg.norm(x) + f_norm
         return float(r / denom) if denom > 0 else float(r)
 
+    kept = _kept_ordering(system)
     for settings in FACTORIZATIONS:
-        # the cavity clique pays only where the KJ stencil carries the fill
-        ordered = (settings.get("permc_spec") == "MMD_AT_PLUS_A"
-                   and system.method.kind == "ip")
+        symmetric = settings.get("permc_spec") == "MMD_AT_PLUS_A"
         try:
-            lu = splu(_cavity_last(A, system.dof_map.n_cavity) if ordered else A,
-                      **settings)
+            if symmetric and kept is not None:
+                lu = kept.factor(system.A)
+            else:
+                # the cavity clique pays only where the KJ stencil carries the fill
+                ordered = symmetric and system.method.kind == "ip"
+                lu = splu(_cavity_last(A, system.dof_map.n_cavity) if ordered else A,
+                          **settings)
         except RuntimeError as exc:  # singular matrix
             failure = f"factorization failed: {exc}"
             continue
@@ -140,6 +200,9 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
             if residual <= RESIDUAL_BOUND:
                 break
         if residual <= RESIDUAL_BOUND:
+            if symmetric and kept is None and system.pattern is not None:
+                # any passing fresh attempt keeps its ordering for later systems
+                system.pattern.ordering = _Ordering(system.A, lu.perm_c)
             return w, residual
         failure = f"relative residual {residual:.3e} exceeds {RESIDUAL_BOUND}"
     raise SolverError(failure)

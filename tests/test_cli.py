@@ -1,14 +1,19 @@
 """Command-line driver: artifacts, exit codes, and run plumbing."""
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flexscat
 from flexscat import cli, dtn, postproc
@@ -362,6 +367,25 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
         "numerical failure: line 2: node coordinates must be finite\n")
 
 
+def test_out_of_range_inputs_fail_in_one_line(tmp_path, capsys):
+    # found by the flag fuzz below: at kappa = 1e-6 the oracle's Hankel
+    # symbols overflow, and the run used to write nan errors and exit 0
+    # beside numpy warnings; kappa = 1e300 and infinite --logspace bounds
+    # printed warnings ahead of their one line
+    cases = [
+        (["solve", "--h", "0.2", "--kappa", "1e-6"], 2),
+        (["solve", "--h", "0.8", "--kappa", "1e300"], 2),
+        (["sweep", "--h", "0.2", "--param", "kappa", "--values", "1e-6,1"], 2),
+        (["sweep", "--h", "0.7", "--param", "eta", "--logspace", "inf", "inf", "3"], 1),
+    ]
+    for k, (argv, status) in enumerate(cases):
+        assert run([*argv, "--out", str(tmp_path / str(k))]) == status, argv
+        err = capsys.readouterr().err
+        assert err.startswith(("error: ", "numerical failure: ")[status - 1]), (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+    assert not (tmp_path / "0" / "errors.csv").exists()
+
+
 def test_runs_that_locate_no_point_skip_scipy_spatial(tmp_path):
     src = str(Path(flexscat.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); from flexscat.cli import main; "
@@ -389,3 +413,53 @@ def test_run_convergence_rejects_imported_meshes(tmp_path):
     cfg = ScatterConfig(mesh_path="whatever.txt", oracle="none")
     with pytest.raises(ConfigError):
         run_convergence(cfg, 3, tmp_path / "c")
+
+
+# Flag values for the fuzz below: in range, at the edges and malformed.  Radii
+# stay small enough that a mesh at h >= 0.2 has a few thousand nodes at most.
+_ODD = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "x", ""])
+_SIZE = st.floats(0.05, 2.0).map(repr) | _ODD
+_PENALTY = st.floats(1e-6, 10.0).map(repr) | _ODD
+
+
+@st.composite
+def _cli_argv(draw):
+    """A mesh, solve or sweep command line with drawn flags, each maybe absent."""
+    command = draw(st.sampled_from(["mesh", "solve", "sweep"]))
+    argv = [command, "--h", draw(st.floats(0.2, 1.0).map(repr)
+                                 | st.sampled_from(["0.2", "inf", "1e300"]))]
+    shape = draw(st.sampled_from(["circle", "ellipse", "kite", "triangle"]))
+    n_params = {"circle": 1, "ellipse": 2, "kite": 3}.get(shape, 1)
+    sizes = draw(st.lists(_SIZE, min_size=n_params - 1, max_size=n_params + 1))
+    method = draw(st.sampled_from(["regular", "ip", "bp"]))
+    optional = {
+        "--shape": f"{shape}:" + ",".join(sizes),
+        "--method": method if method == "regular" else f"{method}:{draw(_PENALTY)}",
+        "--R": draw(_SIZE),
+        "--kappa": draw(st.floats(0.1, 20.0).map(repr) | _ODD),
+        "--N": str(draw(st.integers(-2, 40))),
+        "--oracle": draw(st.sampled_from(["series", "none", "bogus", "reference:missing"])),
+    }
+    for flag, value in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, value]
+    if command == "sweep":
+        argv += ["--param", draw(st.sampled_from(["gamma", "eta", "kappa"]))]
+        if draw(st.booleans()):
+            argv += ["--values", ",".join(draw(st.lists(_PENALTY, min_size=1, max_size=3)))]
+        else:
+            argv += ["--logspace", draw(_PENALTY), draw(_PENALTY),
+                     draw(st.sampled_from(["1", "2", "3", "0", "2.5", "-1"]))]
+    return argv
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_cli_argv())
+def test_fuzzed_flags_exit_cleanly(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        status = main([*argv, "--out", out])
+    assert status in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if status:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flexscat import Method, SeriesSolution
-from flexscat.geometry import Circle, generate_mesh
+from flexscat.geometry import Circle, Kite, generate_mesh, generate_mesh_for_h
 from flexscat.postproc import (BoundaryTrace, ErrorReport, PointLocator,
                                PostprocError, boundary_trace, compute_errors,
                                error_csv, exact_samples, fe_evaluator, field_csv,
@@ -103,6 +103,50 @@ def test_locator_clamps_points_in_boundary_slivers(coarse_circle_mesh):
     assert tri[0] >= 0
     assert bary.min() >= 0.0
     assert bary.sum() == pytest.approx(1.0)
+
+
+def full_scan(loc, pt):
+    """Reference: the lowest-index element containing pt, else the nearest clamp."""
+    b = loc._bary(np.arange(len(loc.verts)), pt)
+    ok = np.flatnonzero(b.min(axis=1) >= -1e-10)
+    if len(ok):
+        return ok[0], b[ok[0]]
+    clamped = np.clip(b, 0.0, None)
+    clamped /= clamped.sum(axis=1, keepdims=True)
+    dist = np.linalg.norm(np.einsum("tb,tbx->tx", clamped, loc.verts) - pt, axis=1)
+    best = int(np.argmin(dist))
+    assert dist[best] <= loc.clamp_dist
+    return best, clamped[best]
+
+
+@pytest.mark.parametrize("mesh", [generate_mesh(Circle(RHAT), R, 4, 24),
+                                  generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2)],
+                         ids=["circle", "kite"])
+def test_locator_fallback_matches_a_scan_of_every_element(mesh):
+    # points in the slivers just outside the cavity and truncation chords lie
+    # in no element: each takes the fallback, which scans only nearby elements
+    pts = []
+    for loop, side in ((mesh.cavity_loop, -1.0), (mesh.truncation_loop, 1.0)):
+        a, b = mesh.nodes[loop], mesh.nodes[np.roll(loop, -1)]
+        normal = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        mid = 0.5 * (a + b)
+        # outward from the mesh: toward the origin on the cavity, away on the ring
+        normal *= np.sign(np.einsum("ex,ex->e", normal, mid))[:, None] * side
+        for t, depth in ((0.5, 1e-4), (0.2, 1e-3), (0.9, 1e-5)):
+            pts.append(a + t * (b - a) + depth * np.linalg.norm(b - a, axis=1)[:, None] * normal)
+        # radially off a vertex, several elements clamp the point onto that
+        # vertex at equal distance: the lowest index must win
+        pts.append(a * (1.0 + side * 1e-4))
+    pts = np.concatenate(pts)
+    loc = PointLocator(mesh)
+    tri, bary = loc.locate(pts)
+    for k, pt in enumerate(pts):
+        ref_tri, ref_bary = full_scan(loc, pt)
+        assert tri[k] == ref_tri
+        assert bary[k].tobytes() == ref_bary.tobytes()
+    # the scan saw a small share of the elements
+    assert max(map(len, loc.tree.query_ball_point(pts, loc.scan_radius))) < 0.5 * mesh.n_triangles
 
 
 def test_boundary_trace_ordering(coarse_regular_solution, coarse_circle_mesh):

@@ -1,26 +1,27 @@
 """Direct solver behavior and recovery of the physical fields."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from flexscat import (Circle, Ellipse, IncidentField, Kite, Method,
-                      generate_mesh_for_h, solve)
-from flexscat.solve import (FACTORIZATIONS, RESIDUAL_BOUND, SolverError,
+from flexscat import (Circle, Ellipse, IncidentField, Kite, Method, ScatterConfig,
+                      assemble_all, build_system, cli, generate_mesh_for_h, solve)
+from flexscat.solve import (FACTORIZATIONS, PERMUTED, RESIDUAL_BOUND, SolverError,
                             recover_fields, solve_system)
 from conftest import ALPHA, KAPPA, R, RHAT, solve_direct
 
 
-def record_splu(monkeypatch, symmetric=None):
-    """Log each splu call's settings; `symmetric` stands in for the symmetric one."""
+def record_splu(monkeypatch, symmetric=None, replaced=FACTORIZATIONS[0]):
+    """Log each splu call's settings; `symmetric` stands in for the `replaced` one."""
     calls = []
     original = solve.splu
 
     def splu(a, **settings):
         calls.append(settings)
-        if symmetric is not None and settings == FACTORIZATIONS[0]:
+        if symmetric is not None and settings == replaced:
             return symmetric(a)
         return original(a, **settings)
 
@@ -70,8 +71,6 @@ def test_singular_system_raises(coarse_regular_solution):
     a = system.A.tolil()
     a[0, :] = 0.0
     a[:, 0] = 0.0
-    import dataclasses
-
     broken = dataclasses.replace(system, A=a.tocsr())
     with pytest.raises(SolverError):
         solve_system(broken)
@@ -193,3 +192,67 @@ def test_symmetric_and_colamd_paths_agree(monkeypatch, shape, h, method):
     w_colamd, _ = solve_system(system)
     assert calls == [FACTORIZATIONS[0], {}]
     assert np.linalg.norm(w_sym - w_colamd) <= 1e-12 * np.linalg.norm(w_colamd)
+
+
+@pytest.mark.parametrize("param, values", [
+    ("gamma", list(np.logspace(-4, -1, 9))),
+    ("eta", list(np.logspace(-3, -1, 3))),
+    ("kappa", [2.0, 3.0, 4.0]),
+], ids=["gamma", "eta", "kappa"])
+def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypatch,
+                                                              param, values):
+    solved = []
+    original = cli.solve_system
+    monkeypatch.setattr(cli, "solve_system",
+                        lambda system: solved.append((system, original(system))) or solved[-1][1])
+    calls = record_splu(monkeypatch)
+    config = ScatterConfig(h_target=0.1, method=Method.interior_penalty(KAPPA * 1e-3))
+    cli.run_sweep(config, param, values, tmp_path)
+    # one minimum-degree ordering for the mesh and kind; each later value
+    # factors the same pattern pre-permuted
+    assert [c["permc_spec"] for c in calls] == (["MMD_AT_PLUS_A"]
+                                                + ["NATURAL"] * (len(values) - 1))
+    assert len(solved) == len(values)
+    monkeypatch.undo()
+    mesh = solved[0][0].pattern.mesh
+    for value, (system, (w, residual)) in zip(values, solved):
+        cfg = dataclasses.replace(config, kappa=value) if param == "kappa" else config
+        tbc, load = cli.tbc_and_load(cfg, mesh)
+        fresh = build_system(mesh, assemble_all(mesh), tbc, load, cfg.kappa, system.method)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(system.A, name).tobytes() == getattr(fresh.A, name).tobytes()
+        w_fresh, _ = solve_system(fresh)
+        assert residual <= RESIDUAL_BOUND
+        assert np.linalg.norm(w - w_fresh) <= 1e-12 * np.linalg.norm(w_fresh)
+
+
+def test_first_system_of_a_kind_derives_no_pattern(coarse_circle_mesh):
+    mesh = coarse_circle_mesh
+    scalars = assemble_all(mesh)
+    tbc, load = cli.tbc_and_load(ScatterConfig(), mesh)
+    first = build_system(mesh, scalars, tbc, load, KAPPA, Method.boundary_penalty(0.01))
+    assert first.pattern.terms is None
+    later = build_system(mesh, scalars, tbc, load, KAPPA, Method.boundary_penalty(0.02))
+    assert later.pattern is first.pattern and later.A.indices is first.pattern.indices
+    # another kind on the same scalars starts its own pattern
+    other = build_system(mesh, scalars, tbc, load, KAPPA, Method.regular())
+    assert other.pattern is not first.pattern and other.pattern.terms is None
+
+
+@pytest.mark.parametrize("permuted", [
+    _raise,
+    lambda a: _WrongFactors(1.0),  # finite, misses the gate after refinement
+], ids=["raises", "inaccurate"])
+def test_permuted_failure_falls_back_to_colamd(medium_circle_mesh, monkeypatch, permuted):
+    mesh = medium_circle_mesh
+    scalars = assemble_all(mesh)
+    tbc, load = cli.tbc_and_load(ScatterConfig(), mesh)
+    systems = [build_system(mesh, scalars, tbc, load, KAPPA, Method.interior_penalty(g))
+               for g in (1e-3, 1e-2)]
+    solve_system(systems[0])  # keeps its ordering
+    calls = record_splu(monkeypatch, permuted, replaced=PERMUTED)
+    w, residual = solve_system(systems[1])
+    assert calls == [PERMUTED, {}]
+    assert residual <= RESIDUAL_BOUND
+    A, F = systems[1].A, systems[1].F
+    assert np.linalg.norm(A @ w - F) / np.linalg.norm(F) <= 1e-10
