@@ -133,46 +133,27 @@ def assemble_scalar(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return kbar, mbar
 
 
-def interior_jump_vector(mesh: Mesh, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse jump vector g_e of [d_nu phi] across one interior edge.
-
-    Returns (node_ids, coefficients).  The normal points from the adjacent
-    element with the smaller element index to the other one; flipping that
-    convention flips g_e's sign, which cancels in g_e g_e^T.
-    """
-    a, b = mesh.interior_edges[edge_index]
-    k_lo, k_hi = mesh.edge_tris[edge_index]  # ascending element order
-    tang = mesh.nodes[b] - mesh.nodes[a]
-    normal = np.array([tang[1], -tang[0]])
-    normal /= np.linalg.norm(normal)
-    tri_lo = mesh.triangles[k_lo]
-    # orient the normal out of the lower-index element
-    centroid = mesh.nodes[tri_lo].mean(axis=0)
-    if np.dot(normal, mesh.nodes[a] - centroid) < 0:
-        normal = -normal
-    # one row dot product per node: a matrix-vector product would round the
-    # normal derivatives differently from the per-node np.dot they replace
-    dn = (mesh.grads[[k_lo, k_hi], :, None, :] @ normal[:, None]).reshape(2, 3).tolist()
-    coeffs: dict[int, float] = {}
-    for k, sign, d in ((k_lo, 1.0, dn[0]), (k_hi, -1.0, dn[1])):
-        for node, x in zip(mesh.triangles[k].tolist(), d):
-            coeffs[node] = coeffs.get(node, 0.0) + sign * x
-    ids = np.array(sorted(coeffs), dtype=np.int64)
-    return ids, np.array([coeffs[i] for i in ids])
-
-
 def assemble_interior_penalty(mesh: Mesh) -> sp.csr_matrix:
-    """KbarJ = sum_e h_e^2 g_e g_e^T over all interior edges (unscaled)."""
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    for e in range(len(mesh.interior_edges)):
-        ids, g = interior_jump_vector(mesh, e)
-        rows.append(np.repeat(ids, len(ids)))
-        cols.append(np.tile(ids, len(ids)))
-        vals.append((mesh.edge_lengths[e] ** 2 * np.outer(g, g)).ravel())
+    """KbarJ = sum_e h_e^2 g_e g_e^T over all interior edges (unscaled).
+
+    g_e lists the normal derivatives of the shape functions of the edge's
+    two elements, the second element's negated: the jump [d_nu phi].  The
+    normal is not oriented, as its sign flips g_e, which cancels in
+    g_e g_e^T.  Each edge emits 36 entries; csr conversion sums those of its
+    two shared nodes.
+    """
+    a, b = mesh.interior_edges.T
+    tang = mesh.nodes[b] - mesh.nodes[a]
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / mesh.edge_lengths[:, None]
+    dn = (mesh.grads[mesh.edge_tris] @ normal[:, None, :, None])[..., 0]  # (E, 2, 3)
+    g = (dn * np.array([[1.0], [-1.0]])).reshape(-1, 6)
+    # int32 node ids: scipy's index type, so coo_matrix keeps them without a copy
+    ids = mesh.triangles[mesh.edge_tris].reshape(-1, 6).astype(np.int32)
+    vals = g[:, :, None] * g[:, None, :]
+    vals *= mesh.edge_lengths[:, None, None] ** 2
+    rows, cols = np.repeat(ids, 6, axis=1).ravel(), np.tile(ids, 6).ravel()
+    kj = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
     # the edge sums can round (i, j) and (j, i) apart: symmetrize exactly, once
-    kj = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n)).tocsr()
     return 0.5 * (kj + kj.T)
 
 
@@ -215,12 +196,6 @@ class DofMap:
     @property
     def size(self) -> int:
         return 2 * self.n_interior + 2 * self.n_trunc + self.n_cavity
-
-    def block_slices(self) -> dict[str, slice]:
-        ni, nt, nd = self.n_interior, self.n_trunc, self.n_cavity
-        ofs = np.cumsum([0, ni, ni, nt, nt, nd])
-        names = ["P_I", "Q_I", "P_T", "Q_T", "P_D"]
-        return {nm: slice(int(a), int(b)) for nm, a, b in zip(names, ofs[:-1], ofs[1:])}
 
 
 def build_dof_map(mesh: Mesh) -> DofMap:

@@ -187,7 +187,8 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
             field, _ = solve_once(cfg, mesh, scalars, tbc, load)
             reports.append(compute_errors(field, mesh, samples, cfg.method,
                                           cfg.kappa, cfg.N))
-        except (SolverError, AssemblyError, MeshError) as exc:
+        except (SolverError, AssemblyError, MeshError, OverflowError,
+                RuntimeWarning) as exc:  # a warning raises under main's filter
             reports.append(None)
             failures.append(f"{parameter}={value!r}: {exc}")
 

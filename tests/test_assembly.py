@@ -1,5 +1,7 @@
 """Element matrices, penalty operators, and the coupled block system."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +12,9 @@ import scipy.sparse.linalg as spla
 from flexscat.assembly import (AssemblyError, Method, assemble_all,
                                assemble_boundary_penalty,
                                assemble_interior_penalty, assemble_scalar,
-                               build_dof_map, build_system,
-                               interior_jump_vector)
+                               build_dof_map, build_system)
 from flexscat.dtn import assemble_tbc, incident_load
-from flexscat.geometry import (AREA_EPS, Circle, Kite, Mesh, MeshError,
+from flexscat.geometry import (AREA_EPS, Circle, Ellipse, Kite, Mesh, MeshError,
                                generate_mesh, generate_mesh_for_h)
 
 KAPPA = math.pi
@@ -87,6 +88,44 @@ def test_global_scalar_matrices(coarse_circle_mesh):
     assert x @ (kbar @ x) == pytest.approx(coarse_circle_mesh.areas.sum())
 
 
+def interior_jump_vector(mesh, edge_index):
+    """Sparse jump vector g_e of [d_nu phi] across one interior edge (reference).
+
+    Returns (node_ids, coefficients) over the edge's four distinct nodes.  The
+    normal points from the adjacent element with the smaller element index
+    to the other one.
+    """
+    a, b = mesh.interior_edges[edge_index]
+    k_lo, k_hi = mesh.edge_tris[edge_index]  # ascending element order
+    tang = mesh.nodes[b] - mesh.nodes[a]
+    normal = np.array([tang[1], -tang[0]])
+    normal /= np.linalg.norm(normal)
+    centroid = mesh.nodes[mesh.triangles[k_lo]].mean(axis=0)
+    if np.dot(normal, mesh.nodes[a] - centroid) < 0:
+        normal = -normal
+    dn = (mesh.grads[[k_lo, k_hi], :, None, :] @ normal[:, None]).reshape(2, 3).tolist()
+    coeffs = {}
+    for k, sign, d in ((k_lo, 1.0, dn[0]), (k_hi, -1.0, dn[1])):
+        for node, x in zip(mesh.triangles[k].tolist(), d):
+            coeffs[node] = coeffs.get(node, 0.0) + sign * x
+    ids = np.array(sorted(coeffs), dtype=np.int64)
+    return ids, np.array([coeffs[i] for i in ids])
+
+
+def edge_loop_interior_penalty(mesh):
+    """KbarJ summed edge by edge over interior_jump_vector (reference)."""
+    n = mesh.n_nodes
+    rows, cols, vals = [], [], []
+    for e in range(len(mesh.interior_edges)):
+        ids, g = interior_jump_vector(mesh, e)
+        rows.append(np.repeat(ids, len(ids)))
+        cols.append(np.tile(ids, len(ids)))
+        vals.append((mesh.edge_lengths[e] ** 2 * np.outer(g, g)).ravel())
+    kj = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n)).tocsr()
+    return 0.5 * (kj + kj.T)
+
+
 def test_interior_jump_vector_kills_linear_fields(coarse_circle_mesh):
     mesh = coarse_circle_mesh
     plane = 0.7 * mesh.nodes[:, 0] - 1.3 * mesh.nodes[:, 1] + 0.4
@@ -97,9 +136,67 @@ def test_interior_jump_vector_kills_linear_fields(coarse_circle_mesh):
 
 
 def test_interior_jump_vector_sign_convention_cancels(coarse_circle_mesh):
-    ids, g = interior_jump_vector(coarse_circle_mesh, 3)
-    outer = np.outer(g, g)
-    assert np.allclose(outer, outer.T)
+    # reversing every interior edge flips the kernel's unoriented normals,
+    # and so every g_e, exactly: KbarJ stays the same bit for bit
+    flipped = copy.copy(coarse_circle_mesh)
+    flipped.interior_edges = coarse_circle_mesh.interior_edges[:, ::-1]
+    kj = assemble_interior_penalty(coarse_circle_mesh)
+    kj_flipped = assemble_interior_penalty(flipped)
+    assert np.array_equal(kj.indptr, kj_flipped.indptr)
+    assert np.array_equal(kj.indices, kj_flipped.indices)
+    assert kj.data.tobytes() == kj_flipped.data.tobytes()
+
+
+KJ_MESHES = {
+    "coarse-circle": lambda request: request.getfixturevalue("coarse_circle_mesh"),
+    "circle-h0.05": lambda request: request.getfixturevalue("medium_circle_mesh"),
+    "ellipse-h0.2": lambda request: generate_mesh_for_h(Ellipse(0.4, 0.2), R, 0.2),
+    "kite-h0.2": lambda request: generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(KJ_MESHES))
+def test_interior_penalty_kernel_matches_edge_loop(request, case):
+    mesh = KJ_MESHES[case](request)
+    kj = assemble_interior_penalty(mesh)
+    ref = edge_loop_interior_penalty(mesh)
+    assert np.array_equal(kj.indptr, ref.indptr)
+    assert np.array_equal(kj.indices, ref.indices)
+    # summing 36 entries per edge, not 16 of pre-summed g_e, rounds apart
+    assert np.abs(kj.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+    assert (kj != kj.T).nnz == 0
+
+
+@pytest.mark.parametrize("case", ["coarse-circle", "kite-h0.2"])
+def test_interior_penalty_annihilates_linear_fields(request, case):
+    # every g_e kills a + b x + c y, so KbarJ does, up to roundoff: bound each
+    # row by the magnitudes that its sums run over
+    mesh = KJ_MESHES[case](request)
+    kj = assemble_interior_penalty(mesh)
+    for a, b, c in ((1.0, 0.0, 0.0), (0.4, 0.7, -1.3), (-2.0, -0.2, 3.1)):
+        f = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
+        scale = abs(kj) @ np.abs(f)
+        assert np.all(np.abs(kj @ f) <= 1e-14 * scale.max())
+
+
+@pytest.mark.parametrize("method", [Method.regular(),
+                                    Method.interior_penalty(KAPPA * 1e-3),
+                                    Method.boundary_penalty(2.5 * KAPPA * 1e-3)],
+                         ids=["regular", "ip", "bp"])
+def test_reference_kj_changes_only_ip_systems(method):
+    mesh = generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2)
+    scalars = assemble_all(mesh)
+    tbc = assemble_tbc(mesh, KAPPA, R, 15)
+    load = incident_load(tbc, KAPPA, R, math.pi / 3)
+    with_ref = dataclasses.replace(scalars, kbar_j=edge_loop_interior_penalty(mesh))
+    A = build_system(mesh, scalars, tbc, load, KAPPA, method).A
+    ref = build_system(mesh, with_ref, tbc, load, KAPPA, method).A
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    if method.kind == "ip":
+        assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    else:
+        assert A.data.tobytes() == ref.data.tobytes()
 
 
 def test_interior_penalty_matrix_properties(coarse_circle_mesh, medium_circle_mesh):
@@ -157,9 +254,12 @@ def test_dof_map_blocks(coarse_circle_mesh):
     dof = build_dof_map(coarse_circle_mesh)
     mesh = coarse_circle_mesh
     assert dof.size == mesh.n_dofs
-    sl = dof.block_slices()
-    assert list(sl) == ["P_I", "Q_I", "P_T", "Q_T", "P_D"]
-    assert sl["P_D"].stop == dof.size
+    # blocks (P_I, Q_I, P_T, Q_T, P_D), each in mesh node order
+    order = np.concatenate([dof.p_dof[mesh.interior_nodes], dof.q_dof[mesh.interior_nodes],
+                            dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes],
+                            dof.p_dof[mesh.d_nodes]])
+    assert np.array_equal(order, np.arange(dof.size))
+    assert dof.p_dof[mesh.d_nodes].min() == 2 * dof.n_interior + 2 * dof.n_trunc
     # p and q dofs coincide exactly on the cavity nodes
     shared = dof.p_dof == dof.q_dof
     assert np.array_equal(np.flatnonzero(shared), mesh.d_nodes)

@@ -371,11 +371,11 @@ def test_out_of_range_inputs_fail_in_one_line(tmp_path, capsys):
     # found by the flag fuzz below: at kappa = 1e-6 the oracle's Hankel
     # symbols overflow, and the run used to write nan errors and exit 0
     # beside numpy warnings; kappa = 1e300 and infinite --logspace bounds
-    # printed warnings ahead of their one line
+    # printed warnings ahead of their one line (a kappa sweep now records such
+    # a value and goes on, below)
     cases = [
         (["solve", "--h", "0.2", "--kappa", "1e-6"], 2),
         (["solve", "--h", "0.8", "--kappa", "1e300"], 2),
-        (["sweep", "--h", "0.2", "--param", "kappa", "--values", "1e-6,1"], 2),
         (["sweep", "--h", "0.7", "--param", "eta", "--logspace", "inf", "inf", "3"], 1),
     ]
     for k, (argv, status) in enumerate(cases):
@@ -384,6 +384,22 @@ def test_out_of_range_inputs_fail_in_one_line(tmp_path, capsys):
         assert err.startswith(("error: ", "numerical failure: ")[status - 1]), (argv, err)
         assert len(err.splitlines()) == 1, (argv, err)
     assert not (tmp_path / "0" / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("values, failed", [("1e-6,1", "kappa=1e-06: "),
+                                            ("1,1e9", "kappa=1000000000.0: ")],
+                         ids=["kappa-1e-6", "kappa-1e9"])
+def test_sweep_records_numerical_failures_and_goes_on(tmp_path, capsys, values, failed):
+    # the oracle overflows at kappa = 1e-6 and divides inf by inf at 1e9: each
+    # fails alone, as a failing solve does, and kappa = 1 still gets its row
+    out = tmp_path / "k"
+    assert run(["sweep", "--h", "0.2", "--param", "kappa", "--values", values,
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "sweep_kappa.csv").read_text().strip().splitlines()
+    assert [float(r.split(",")[1]) for r in rows[1:]] == [1.0]
+    failures = (out / "sweep_kappa_failures.txt").read_text().splitlines()
+    assert len(failures) == 1 and failures[0].startswith(failed), failures
 
 
 def test_runs_that_locate_no_point_skip_scipy_spatial(tmp_path):
