@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .dtn import TbcMatrix
 from .geometry import Mesh
 
 _MASS_REF = np.array([[2.0, 1.0, 1.0],
@@ -221,6 +222,7 @@ class BlockSystem:
     dof_map: DofMap
     method: Method
     pattern: SystemPattern | None = None
+    tbc: TbcMatrix | None = None  # its low-rank form serves the real solve
 
 
 def _node_pair_keys(m: sp.csr_matrix) -> np.ndarray:
@@ -333,7 +335,7 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
         A = _relabel(mesh, scalars, tbc, kappa, method, dof)
     F = np.zeros(dof.size, dtype=complex)
     F[dof.p_dof[mesh.t_nodes]] = load_t
-    return BlockSystem(A, F, dof, method, pattern)
+    return BlockSystem(A, F, dof, method, pattern, tbc)
 
 
 def _relabel(mesh: Mesh, scalars: ScalarMatrices, tbc, kappa: float, method: Method,

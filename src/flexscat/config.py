@@ -140,9 +140,6 @@ class ScatterConfig:
         return {**dataclasses.asdict(self), "shape": shape_to_dict(self.shape),
                 "method": method_to_dict(self.method)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScatterConfig":
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}

@@ -11,7 +11,11 @@ where c_n[j] = int beta_j(theta) e^{i n theta} d theta has a closed form
 per mesh segment; the explicit 1/R in the operator cancels the ds = R
 d(theta) measure.  The sum is truncated at |n| <= N and assembled into
 dense blocks over the T nodes as one product V^T diag(coeff) conj(V),
-where row n of V is c_n, computed for all orders in one call.
+where row n of V is c_n, computed for all orders in one call.  The hats
+are real, so c_{-n} = conj(c_n), and the symbols are even in n: each block
+is sum_n coeff_n Re(c_n conj(c_n)^T).  k_n is real, so the q block is a
+real product; only Im h_n = 2/(pi |H_n|^2) makes the p block complex, and
+its imaginary part has the closed low-rank form of p_imag_factors.
 
 Also here: the incident plane wave and its load vector -<g1, beta_j>,
 with g1 = d_r u_inc - T1 u_inc expanded through the Jacobi-Anger series.
@@ -51,13 +55,33 @@ class IncidentField:
 class TbcMatrix:
     """Assembled DtN blocks over the T nodes (mesh node order).
 
-    Each block sums coeff_n * outer(c_n, conj(c_n)) over mode_orders, c_n the mode_vectors rows.
+    Each block sums coeff_n * outer(c_n, conj(c_n)) over mode_orders, c_n
+    the mode_vectors rows; coeff_p holds the p block's h_n / 2 pi.  The q
+    block's k_n / 2 pi are real, and so is q_block.
     """
 
     p_block: np.ndarray
     q_block: np.ndarray
     mode_orders: np.ndarray
     mode_vectors: np.ndarray  # (n_modes, N_T)
+    coeff_p: np.ndarray
+
+    def p_imag_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, s) with Im p_block = U diag(s) U^T, in closed form.
+
+        The hats are real, so c_{-n} = conj(c_n), and h_{-n} = h_n: the +n
+        and -n terms add to 2 Im(coeff_n) (a a^T + b b^T), where a and b are
+        the real and imaginary parts of c_n; the real c_0 enters once.
+        Modes whose Im(coeff_n) is below roundoff of the largest are left
+        out.  U is (N_T, r) and real, with r <= 2 N + 1.
+        """
+        weight = self.coeff_p.imag
+        keep = (self.mode_orders >= 0) & (weight > np.finfo(float).eps * weight.max())
+        pair = self.mode_orders[keep] > 0
+        vectors, weight = self.mode_vectors[keep], weight[keep]
+        u = np.concatenate([vectors.real, vectors[pair].imag]).T
+        s = np.concatenate([np.where(pair, 2.0, 1.0) * weight, 2.0 * weight[pair]])
+        return u, s
 
 
 def hat_fourier(angles: np.ndarray, n: int | np.ndarray) -> np.ndarray:
@@ -100,15 +124,17 @@ def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
     z = kappa * R
     orders = np.arange(-N, N + 1)
     coeff_p = dtn_symbol_h(orders, z) / (2.0 * math.pi)
-    coeff_q = (dtn_symbol_k(orders, z) / (2.0 * math.pi)).astype(complex)
+    coeff_q = dtn_symbol_k(orders, z) / (2.0 * math.pi)
     vectors = hat_fourier(angles[order], orders)[:, inv]
     p_block = (vectors.T * coeff_p) @ vectors.conj()
-    q_block = (vectors.T * coeff_q) @ vectors.conj()
+    # coeff_q is real: Re(c_n conj(c_n)^T) = a a^T + b b^T in one real product
+    parts = np.concatenate([vectors.real, vectors.imag])
+    q_block = (parts.T * np.tile(coeff_q, 2)) @ parts
     # the +n / -n mode pair makes each block symmetric analytically; enforce
     # it exactly so the global system is complex symmetric to the last bit
     p_block = 0.5 * (p_block + p_block.T)
     q_block = 0.5 * (q_block + q_block.T)
-    return TbcMatrix(p_block, q_block, orders, vectors)
+    return TbcMatrix(p_block, q_block, orders, vectors, coeff_p)
 
 
 def incident_mode_coeff(n: int | np.ndarray, kappa: float, R: float,

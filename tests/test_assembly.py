@@ -357,3 +357,29 @@ def test_build_system_dimension_mismatch(coarse_circle_mesh):
     with pytest.raises(AssemblyError):
         build_system(mesh, scalars, tbc, np.zeros(3, dtype=complex), KAPPA,
                      Method.regular())
+
+
+@pytest.mark.parametrize("method", [Method.regular(),
+                                    Method.interior_penalty(KAPPA * 1e-3),
+                                    Method.boundary_penalty(2.5 * KAPPA * 1e-3)],
+                         ids=["regular", "ip", "bp"])
+@pytest.mark.parametrize("mesh_case", ["coarse", "kite"])
+def test_imaginary_part_is_low_rank_on_the_p_truncation_block(coarse_circle_mesh, method,
+                                                              mesh_case):
+    # every block but -T_p is real, and Im T_p has the closed low-rank form
+    # that the real solve corrects with
+    mesh = (coarse_circle_mesh if mesh_case == "coarse"
+            else generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2))
+    tbc = assemble_tbc(mesh, KAPPA, R, 15)
+    assert tbc.q_block.dtype == np.float64
+    system = build_system(mesh, assemble_all(mesh), tbc, incident_load(tbc, KAPPA, R, 0.3),
+                          KAPPA, method)
+    dof = system.dof_map
+    p_t = dof.p_dof[mesh.t_nodes]
+    imag = system.A.imag.toarray()
+    block = imag[np.ix_(p_t, p_t)]
+    imag[np.ix_(p_t, p_t)] = 0.0
+    assert not imag.any()
+    u, s = tbc.p_imag_factors()
+    assert u.dtype == np.float64 and u.shape == (len(p_t), len(s)) and len(s) <= 31
+    assert np.abs((u * s) @ u.T + block).max() <= 1e-15 * np.abs(block).max()

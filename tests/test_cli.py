@@ -132,7 +132,7 @@ def test_analytic_command(tmp_path):
 def test_config_file_and_flag_overrides(tmp_path):
     cfg = ScatterConfig(h_target=0.2, oracle="none")
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
     out = tmp_path / "run"
     assert run(["solve", "--config", str(path), "--kappa", "2.0",
                 "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Configuration round trips and validation."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -29,13 +30,13 @@ def test_json_round_trip(shape, method):
     cfg = ScatterConfig(kappa=2.0, alpha=0.4, shape=shape, R=0.7, N=12,
                         method=method, h_target=0.08, oracle="none",
                         out_dir="artifacts")
-    back = ScatterConfig.from_json(cfg.to_json())
+    back = ScatterConfig.from_json(json.dumps(cfg.to_dict()))
     assert back == cfg
 
 
 def test_round_trip_with_mesh_path():
     cfg = ScatterConfig(mesh_path="some/mesh.txt", oracle="none")
-    back = ScatterConfig.from_json(cfg.to_json())
+    back = ScatterConfig.from_json(json.dumps(cfg.to_dict()))
     assert back.mesh_path == "some/mesh.txt"
 
 

@@ -114,7 +114,7 @@ def test_tbc_low_rank_form_reproduces_blocks(coarse_circle_mesh):
     tbc = assemble_tbc(coarse_circle_mesh, KAPPA, R, 8)
     assert tbc.mode_orders.tolist() == list(range(-8, 9))
     p = np.zeros_like(tbc.p_block)
-    q = np.zeros_like(tbc.q_block)
+    q = np.zeros_like(tbc.p_block)  # complex terms; their sum is the real q_block
     for n, c in zip(tbc.mode_orders, tbc.mode_vectors):
         outer = np.outer(c, np.conj(c)) / (2 * math.pi)
         p += dtn_symbol_h(int(n), KAPPA * R) * outer

@@ -195,26 +195,111 @@ def test_ip_symmetric_attempt_orders_cavity_unknowns_last(medium_circle_mesh,
     (Ellipse(0.4, 0.2), 0.04, Method.regular()),
 ], ids=["circle-ip", "kite-bp", "ellipse-regular"])
 def test_symmetric_and_colamd_paths_agree(monkeypatch, shape, h, method):
+    # each path forced in turn: the real attempt, the complex symmetric
+    # attempt (no real attempt at any size), then COLAMD alone
     _, system = solve_direct(generate_mesh_for_h(shape, R, h), method)
     calls = record_splu(monkeypatch)
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+    w_real, _ = solve_system(system)
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", math.inf)
     w_sym, _ = solve_system(system)
     monkeypatch.setattr(solve, "FACTORIZATIONS", FACTORIZATIONS[1:])
     w_colamd, _ = solve_system(system)
-    assert calls == [FACTORIZATIONS[0], {}]
-    assert np.linalg.norm(w_sym - w_colamd) <= 1e-12 * np.linalg.norm(w_colamd)
+    assert calls == [FACTORIZATIONS[0], FACTORIZATIONS[0], {}]
+    for w in (w_real, w_sym):
+        assert np.linalg.norm(w - w_colamd) <= 1e-12 * np.linalg.norm(w_colamd)
 
 
-@pytest.mark.parametrize("param, values", [
-    ("gamma", list(np.logspace(-4, -1, 9))),
-    ("eta", list(np.logspace(-3, -1, 3))),
-    ("kappa", [2.0, 3.0, 4.0]),
-], ids=["gamma", "eta", "kappa"])
+def test_real_attempt_factors_real_values(medium_circle_mesh, monkeypatch):
+    _, system = solve_direct(medium_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+    seen = []
+    original = solve.splu
+
+    def splu(a, **settings):
+        seen.append((settings, a, original(a, **settings)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(solve, "splu", splu)
+    _, residual = solve_system(system)
+    ((settings, a, lu),) = seen
+    assert settings == FACTORIZATIONS[0]
+    assert a.dtype == lu.L.dtype == lu.U.dtype == np.float64
+    assert (a != system.A.real).nnz == 0  # Re A (with the cavity clique's zeros)
+    assert residual <= RESIDUAL_BOUND
+
+
+def test_small_system_factors_as_before(medium_circle_mesh, monkeypatch):
+    # below REAL_MIN_DOFS the low-rank form is not even built
+    _, system = solve_direct(medium_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
+    assert system.dof_map.size < solve.REAL_MIN_DOFS
+    monkeypatch.setattr(type(system.tbc), "p_imag_factors",
+                        lambda tbc: pytest.fail("built the low-rank form"))
+    calls = record_splu(monkeypatch)
+    _, residual = solve_system(system)
+    assert calls == [FACTORIZATIONS[0]]
+    assert residual <= RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("complex_too", [False, True], ids=["to-symmetric", "to-colamd"])
+@pytest.mark.parametrize("failing", [
+    _raise,
+    lambda a: _WrongFactors(np.nan),  # non-finite solution
+    lambda a: _WrongFactors(1.0),  # finite, misses the gate after refinement
+], ids=["raises", "non-finite", "inaccurate"])
+def test_real_failure_falls_back(coarse_regular_solution, monkeypatch, failing, complex_too):
+    _, system = coarse_regular_solution
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+    original = solve.splu
+
+    def symmetric(a):
+        if a.dtype == np.float64 or complex_too:
+            return failing(a)
+        return original(a, **FACTORIZATIONS[0])
+
+    calls = record_splu(monkeypatch, symmetric)
+    w, residual = solve_system(system)
+    assert calls == [FACTORIZATIONS[0]] * 2 + [{}] * complex_too
+    assert residual <= RESIDUAL_BOUND
+    r = np.linalg.norm(system.A @ w - system.F) / np.linalg.norm(system.F)
+    assert r <= 1e-10
+
+
+def test_real_attempt_passes_over_kappa(monkeypatch):
+    # Re A is a real Helmholtz operator with a Robin-like DtN term, which
+    # could be near-singular at some kappa; the gate must hold at each
+    mesh = generate_mesh_for_h(Circle(RHAT), R, 0.035)
+    scalars = assemble_all(mesh)
+    method = Method.interior_penalty(KAPPA * 1e-3)
+    for kappa in np.linspace(1.0, 8.0, 20):
+        cfg = ScatterConfig(kappa=kappa)
+        system = build_system(mesh, scalars, *cli.tbc_and_load(cfg, mesh), kappa, method)
+        monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+        w, residual = solve_system(system)
+        monkeypatch.setattr(solve, "REAL_MIN_DOFS", math.inf)
+        w_complex, _ = solve_system(system)
+        assert residual <= RESIDUAL_BOUND
+        assert np.linalg.norm(w - w_complex) <= 1e-10 * np.linalg.norm(w_complex)
+
+
+@pytest.mark.parametrize("param, values, real", [
+    ("gamma", list(np.logspace(-4, -1, 9)), False),
+    ("eta", list(np.logspace(-3, -1, 3)), False),
+    ("kappa", [2.0, 3.0, 4.0], False),
+    ("gamma", list(np.logspace(-4, -1, 9)), True),
+], ids=["gamma", "eta", "kappa", "gamma-real"])
 def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypatch,
-                                                              param, values):
+                                                              param, values, real):
     solved = []
     original = cli.solve_system
     monkeypatch.setattr(cli, "solve_system",
                         lambda system: solved.append((system, original(system))) or solved[-1][1])
+    corrected = []
+    if real:  # every value passes the real attempt, on the kept ordering after the first
+        monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+        woodbury = solve._Woodbury
+        monkeypatch.setattr(solve, "_Woodbury",
+                            lambda *args: corrected.append(woodbury(*args)) or corrected[-1])
     calls = record_splu(monkeypatch)
     config = ScatterConfig(h_target=0.1, method=Method.interior_penalty(KAPPA * 1e-3))
     cli.run_sweep(config, param, values, tmp_path)
@@ -223,6 +308,7 @@ def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypa
     assert [c["permc_spec"] for c in calls] == (["MMD_AT_PLUS_A"]
                                                 + ["NATURAL"] * (len(values) - 1))
     assert len(solved) == len(values)
+    assert len(corrected) == len(values) * real
     monkeypatch.undo()
     mesh = solved[0][0].pattern.mesh
     for value, (system, (w, residual)) in zip(values, solved):
