@@ -19,7 +19,7 @@ from .postproc import (BoundaryTrace, ErrorReport, boundary_trace,
 from .series import SeriesSolution
 from .solve import SolutionField, recover_fields, solve_system
 from .specfun import (ValueWithDerivative, bessel_j, bessel_k, bessel_y,
-                      dtn_symbol_h, dtn_symbol_k, hankel1)
+                      dtn_symbol_h, dtn_symbol_k)
 
 __all__ = [
     "BlockSystem", "Method", "ScalarMatrices", "assemble_all", "build_system",
@@ -30,7 +30,6 @@ __all__ = [
     "compute_errors", "exact_samples", "fe_evaluator", "SeriesSolution",
     "SolutionField", "recover_fields", "solve_system", "ValueWithDerivative",
     "bessel_j", "bessel_k", "bessel_y", "dtn_symbol_h", "dtn_symbol_k",
-    "hankel1",
 ]
 
 __version__ = "0.1.0"

@@ -242,6 +242,17 @@ class Mesh:
         return (np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
                 / (2.0 * self.areas)[:, None, None])
 
+    @cached_property
+    def node_text(self) -> tuple[list[str], list[str], list[str]]:
+        """The node ids 1..N and the x and y coordinates as artifact text.
+
+        Each value is formatted once per mesh by ``repr``, which equals ``str``
+        for an int or a float (its shortest round-trip text), and shared by
+        every writer; caching it assumes the mesh is never mutated.
+        """
+        return (list(map(repr, range(1, self.n_nodes + 1))),
+                *(list(map(repr, column)) for column in self.nodes.T.tolist()))
+
     @property
     def truncation_radius(self) -> float:
         return float(np.linalg.norm(self.nodes[self.t_nodes], axis=1).mean())
@@ -506,8 +517,7 @@ def export_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented ASCII format (inverse of import_mesh)."""
     n, m = mesh.n_nodes, mesh.n_triangles
     return (f"nodes {n}\n"
-            + format_rows(range(1, n + 1), *mesh.nodes.T.tolist(),
-                          mesh.node_class.tolist(), sep=" ")
+            + format_rows(*mesh.node_text, mesh.node_class.tolist(), sep=" ")
             + f"triangles {m}\n"
             + format_rows(range(1, m + 1), *(mesh.triangles + 1).T.tolist(), sep=" "))
 

@@ -268,10 +268,8 @@ FIELD_CSV_HEADER = "node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w"
 
 
 def field_csv(field: SolutionField, mesh: Mesh) -> str:
-    values = np.column_stack([field.p, field.q, field.v, field.w]).view(float)
     return FIELD_CSV_HEADER + "\n" + format_rows(
-        range(1, mesh.n_nodes + 1), *mesh.nodes.T.tolist(), mesh.node_class.tolist(),
-        *values.T.tolist())
+        *mesh.node_text, mesh.node_class.tolist(), *field.value_text)
 
 
 def read_field_csv(text: str, mesh: Mesh) -> SolutionField:
@@ -311,11 +309,11 @@ def vtk_field(field: SolutionField, mesh: Mesh) -> str:
     n, m = mesh.n_nodes, mesh.n_triangles
     parts = ["# vtk DataFile Version 3.0\nflexural scattering field\n"
              f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
-             format_rows(*mesh.nodes.T.tolist(), [0.0] * n, sep=" "),
+             format_rows(*mesh.node_text[1:], ["0.0"] * n, sep=" "),
              f"CELLS {m} {4 * m}\n",
-             format_rows([3] * m, *mesh.triangles.T.tolist(), sep=" "),
-             f"CELL_TYPES {m}\n", format_rows([5] * m), f"POINT_DATA {n}\n"]
-    v, w = field.v, field.w
-    for name, data in (("Re_v", v.real), ("Im_v", v.imag), ("Re_w", w.real), ("Im_w", w.imag)):
-        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", format_rows(data.tolist())]
+             format_rows(["3"] * m, *mesh.triangles.T.tolist(), sep=" "),
+             f"CELL_TYPES {m}\n", "5\n" * m, f"POINT_DATA {n}\n"]
+    # Re/Im of v and w: the last four of the field's text columns
+    for name, column in zip(("Re_v", "Im_v", "Re_w", "Im_w"), field.value_text[4:]):
+        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", format_rows(column)]
     return "".join(parts)

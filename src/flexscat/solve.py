@@ -60,6 +60,7 @@ Laplacian(u_inc) = -kappa^2 u_inc):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,6 +113,17 @@ class SolutionField:
     @property
     def w(self) -> np.ndarray:
         return self.p_scat + self.q
+
+    @cached_property
+    def value_text(self) -> list[list[str]]:
+        """Re and Im of p, q, v and w (in that order) as artifact text.
+
+        Each value is formatted once per field by ``repr``, which equals ``str``
+        for an int or a float (its shortest round-trip text), and shared by
+        every writer; caching it assumes the field is never mutated.
+        """
+        values = np.column_stack([self.p, self.q, self.v, self.w]).view(float)
+        return [list(map(repr, column)) for column in values.T.tolist()]
 
 
 def _cavity_last(A: sp.csc_matrix, n_cavity: int) -> sp.csc_matrix:

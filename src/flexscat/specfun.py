@@ -1,7 +1,7 @@
 """Real-argument Bessel-family functions and the DtN ratio symbols.
 
-Provides J_n, Y_n, K_n and the Hankel function H_n^(1) together with their
-first derivatives, plus the two ratio symbols
+Provides J_n, Y_n and K_n together with their first derivatives, plus the
+two ratio symbols of the Hankel function H_n^(1) = J_n + i Y_n and of K_n
 
     h_n(z) = z * H_n^(1)'(z) / H_n^(1)(z),
     k_n(z) = z * K_n'(z) / K_n(z),
@@ -79,14 +79,6 @@ def bessel_k(n: int | np.ndarray, x: float) -> ValueWithDerivative:
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(derivative))):
         raise OverflowError(f"K_n({x}) overflows the representable range")
     return ValueWithDerivative(value, derivative)
-
-
-def hankel1(n: int | np.ndarray, x: float) -> ValueWithDerivative:
-    """H_n^(1)(x) = J_n(x) + i Y_n(x) and its derivative, for x > 0."""
-    n = _checked_order(n)
-    if x <= 0:
-        raise ValueError(f"hankel1 requires x > 0, got x = {x}")
-    return ValueWithDerivative(special.hankel1(n, x), special.h1vp(n, x))
 
 
 def dtn_symbol_h(n: int | np.ndarray, z: float) -> complex | np.ndarray:

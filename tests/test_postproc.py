@@ -1,16 +1,19 @@
 """Error norms, point location, boundary traces, and file exports."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from flexscat import Method, SeriesSolution
-from flexscat.geometry import Circle, Kite, generate_mesh, generate_mesh_for_h
+from flexscat.geometry import (Circle, Kite, Mesh, export_mesh, generate_mesh,
+                               generate_mesh_for_h, import_mesh)
 from flexscat.postproc import (BoundaryTrace, ErrorReport, PointLocator,
                                PostprocError, boundary_trace, compute_errors,
                                error_csv, exact_samples, fe_evaluator, field_csv,
                                read_field_csv, trace_csv, vtk_field)
+from flexscat.solve import SolutionField
 from conftest import KAPPA, RHAT, R, solve_direct
 
 
@@ -206,3 +209,104 @@ def test_vtk_export_structure(coarse_regular_solution, coarse_circle_mesh):
     assert f"POINTS {mesh.n_nodes} double" in text
     assert f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}" in text
     assert "SCALARS Re_v double 1" in text
+
+
+# Reference writers: every value formatted by its own str call, row by row,
+# as the artifacts were written before their text columns were shared.
+
+def _str_rows(*columns, sep=","):
+    return "".join(sep.join(map(str, row)) + "\n" for row in zip(*columns))
+
+
+def _str_mesh(mesh):
+    n, m = mesh.n_nodes, mesh.n_triangles
+    return (f"nodes {n}\n"
+            + _str_rows(range(1, n + 1), *mesh.nodes.T.tolist(), mesh.node_class.tolist(), sep=" ")
+            + f"triangles {m}\n"
+            + _str_rows(range(1, m + 1), *(mesh.triangles + 1).T.tolist(), sep=" "))
+
+
+def _str_field_csv(field, mesh):
+    values = np.column_stack([field.p, field.q, field.v, field.w]).view(float)
+    return ("node_id,x,y,class,Re_p,Im_p,Re_q,Im_q,Re_v,Im_v,Re_w,Im_w\n" + _str_rows(
+        range(1, mesh.n_nodes + 1), *mesh.nodes.T.tolist(), mesh.node_class.tolist(),
+        *values.T.tolist()))
+
+
+def _str_vtk(field, mesh):
+    n, m = mesh.n_nodes, mesh.n_triangles
+    parts = ["# vtk DataFile Version 3.0\nflexural scattering field\n"
+             f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+             _str_rows(*mesh.nodes.T.tolist(), [0.0] * n, sep=" "),
+             f"CELLS {m} {4 * m}\n",
+             _str_rows([3] * m, *mesh.triangles.T.tolist(), sep=" "),
+             f"CELL_TYPES {m}\n", _str_rows([5] * m), f"POINT_DATA {n}\n"]
+    v, w = field.v, field.w
+    for name, data in (("Re_v", v.real), ("Im_v", v.imag), ("Re_w", w.real), ("Im_w", w.imag)):
+        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", _str_rows(data.tolist())]
+    return "".join(parts)
+
+
+def _str_trace(trace):
+    w = trace.w
+    return "param,Re_w,Im_w,abs_w\n" + _str_rows(
+        trace.params.tolist(), w.real.tolist(), w.imag.tolist(), map(abs, w.tolist()))
+
+
+def _imported_circle():
+    """The coarse circle mesh read back through import_mesh, with every other
+    triangle written clockwise, so that import reorients it."""
+    lines = export_mesh(generate_mesh(Circle(RHAT), R, 4, 24)).splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("triangles"))
+    for k in range(start + 1, len(lines), 2):
+        tid, a, b, c = lines[k].split()
+        lines[k] = f"{tid} {a} {c} {b}"
+    mesh = import_mesh("\n".join(lines) + "\n")
+    assert mesh.warnings
+    return mesh, Method.regular()
+
+
+ARTIFACT_CASES = {
+    "circle-ip-h0.05": lambda: (generate_mesh_for_h(Circle(RHAT), R, 0.05),
+                                Method.interior_penalty(KAPPA * 1e-3)),
+    "kite-bp-h0.2": lambda: (generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2),
+                             Method.boundary_penalty(2.5 * KAPPA * 1e-3)),
+    "imported": _imported_circle,
+}
+
+
+@pytest.mark.parametrize("case", ARTIFACT_CASES)
+def test_artifacts_match_per_value_str_writers(case):
+    mesh, method = ARTIFACT_CASES[case]()
+    field, _ = solve_direct(mesh, method)
+    trace = boundary_trace(field, mesh)
+    assert export_mesh(mesh) == _str_mesh(mesh)
+    assert field_csv(field, mesh) == _str_field_csv(field, mesh)
+    assert vtk_field(field, mesh) == _str_vtk(field, mesh)
+    assert trace_csv(trace) == _str_trace(trace)
+
+
+def test_text_columns_are_built_once_and_shared(monkeypatch, coarse_regular_solution,
+                                                coarse_circle_mesh):
+    built = []
+    for cls, name in ((Mesh, "node_text"), (SolutionField, "value_text")):
+        build = cls.__dict__[name].func
+
+        def counted(self, build=build, name=name):
+            built.append(name)
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    # fresh objects: the session fixtures may already hold their columns
+    base, (solved, _) = coarse_circle_mesh, coarse_regular_solution
+    mesh = Mesh(base.nodes, base.triangles, base.node_class)
+    field = SolutionField(solved.p, solved.q, solved.u_inc, solved.residual)
+    first = [export_mesh(mesh), field_csv(field, mesh), vtk_field(field, mesh)]
+    assert built == ["node_text", "value_text"]
+    columns = mesh.node_text, field.value_text
+    again = [vtk_field(field, mesh), field_csv(field, mesh), export_mesh(mesh)]
+    assert again[::-1] == first
+    assert built == ["node_text", "value_text"]
+    assert mesh.node_text is columns[0] and field.value_text is columns[1]

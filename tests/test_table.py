@@ -21,6 +21,9 @@ def test_rows_round_trip_and_name_the_first_bad_line():
     columns = [[1, -2], [0.1, -0.0], ["I", "T"]]
     text = format_rows(*columns, sep=" ")
     assert text == "1 0.1 I\n-2 -0.0 T\n"
+    # rows are one %-format: a "%" in a value or in sep is written as is
+    assert format_rows(["5%", "x"], ["%s", 2], sep="%") == "5%%%s\nx%2\n"
+    assert format_rows() == ""
     rows = list(enumerate(text.splitlines(), start=5))
     types, layout = (int, float, str), "'<n> <x> <c>'"
     assert parse_rows(rows, types, layout, ValueError) == columns
