@@ -23,23 +23,20 @@ where DtN puts -T_p on the P_T block and +T_q on the Q_T block.  A D row
 thus holds the coupling B1 p - B2 q.  As P only relabels, build_system
 forms no product: it maps each entry of B1 through p_dof and of -B2
 through q_dof, puts the DtN entries on the T rows, and sums duplicates
-(two terms at most, on D-D and T-T entries) in one sparse conversion.  The
-q-field rows are scaled by -1 so that A = A^T exactly, by construction:
-every block (Kbar, Mbar, KbarJ, KG, DtN) is exactly symmetric and an entry
-of A sums at most two terms, which commute.  The direct solver and the
-sign-structure tests rely on it.
+(two terms at most, on D-D and T-T entries).  The q-field rows are scaled
+by -1 so that A = A^T exactly, by construction: every block (Kbar, Mbar,
+KbarJ, KG, DtN) is exactly symmetric and an entry of A sums at most two
+terms, which commute.  The direct solver and the sign-structure tests rely
+on it.
 
 A sweep solves many systems on one mesh that differ only in kappa, the
 penalty value and the TBC.  A's pattern depends on the mesh and the method
-kind alone (a zero penalty adds no entries), so build_system keeps one
-SystemPattern per ScalarMatrices and kind.  The first system of a kind is
-built as above and pays nothing more.  The second derives the pattern
-stage: A's CSR structure, the slot of every relabelled entry, and the
-scalar terms aligned to one node-pair pattern.  Every later system is a
-value stage: B1 and B2 in the same operation order as the sparse sums,
-then one gather and one add into A.data.  A is bit-identical to the
-general build, pattern included; a system whose B1 or B2 cancels to an
-exact zero, which the sparse sums would drop, takes the general build.
+kind alone, so build_system keeps one SystemPattern per ScalarMatrices and
+kind, built at the kind's first system: the node pairs of B1 and B2, A's
+CSR structure and the slot of every relabelled entry.  Every system is
+filled into it in the operation order of the sparse sums above, so A
+equals the formula bit for bit; an entry of B1 or B2 that cancels to an
+exact zero, which the sparse sums would drop, is stored as a zero.
 """
 
 from __future__ import annotations
@@ -225,71 +222,69 @@ class BlockSystem:
     tbc: TbcMatrix | None = None  # its low-rank form serves the real solve
 
 
-def _node_pair_keys(m: sp.csr_matrix) -> np.ndarray:
-    """row * n + col of each stored entry of a square CSR matrix, in order."""
-    n = m.shape[0]
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) * n + m.indices
+def _merge(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted distinct values of all `keys` and, per array, the position
+    of each of its entries among them.  The arrays come in long ascending
+    runs, which a stable sort (timsort) merges in about linear time."""
+    flat = np.concatenate(keys)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    new = np.concatenate([[True], flat[1:] != flat[:-1]])
+    at = np.empty(len(flat), dtype=np.int32)
+    at[order] = np.cumsum(new, dtype=np.int32) - 1
+    return flat[new], np.split(at, np.cumsum([len(k) for k in keys[:-1]]))
 
 
-def _entry_positions(mesh: Mesh, dof: DofMap, b1_ij, b2_ij) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) in A of B1's entries by p_dof, -B2's by q_dof, then the
-    -T_p and T_q blocks: the order in which build_system lists A's entries."""
-    t_p, t_q = dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes]
-    nt = len(t_p)
-    rows = (dof.p_dof[b1_ij[0]], dof.q_dof[b2_ij[0]], np.repeat(t_p, nt), np.repeat(t_q, nt))
-    cols = (dof.p_dof[b1_ij[1]], dof.q_dof[b2_ij[1]], np.tile(t_p, nt), np.tile(t_q, nt))
-    return np.concatenate(rows), np.concatenate(cols)
+def _canonical(m, n: int) -> sp.csr_matrix:
+    """m as n x n CSR with sorted indices and no duplicates (on a copy if not)."""
+    m = sp.csr_matrix(m)  # shares a CSR matrix's arrays
+    if m.shape != (n, n):
+        raise AssemblyError(f"scalar matrix of shape {m.shape} on a mesh of {n} nodes")
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    return m
 
 
 class SystemPattern:
-    """A's structure for one method kind on one mesh's scalar matrices.
+    """A's structure for one method kind on one mesh's scalar matrices, built
+    at the kind's first build_system call and filled by every system of it.
+    `ordering` is left to the solver, which keeps the fill-reducing
+    permutation of A's pattern there."""
 
-    Derived at the kind's second build_system call, so that a single solve
-    pays nothing for it.  `ordering` is left to the solver, which keeps the
-    fill-reducing permutation of A's pattern there.
-    """
-
-    def __init__(self, mesh: Mesh):
+    def __init__(self, mesh: Mesh, scalars: ScalarMatrices, kind: str):
         self.mesh = mesh
-        self.dof = build_dof_map(mesh)
+        self.dof = dof = build_dof_map(mesh)
         self.ordering = None
-        self.terms: tuple[np.ndarray, ...] | None = None  # None: not derived yet
-        self.indptr = self.indices = None
+        n, size = mesh.n_nodes, dof.size
+        self.mats = [_canonical(m, n) for m in [scalars.kbar, scalars.mbar] + {
+            "regular": [], "ip": [scalars.kbar_j], "bp": [scalars.kg]}[kind]]
+        # B1 and B2 live on the node pairs of the kind's scalar matrices; maps
+        # holds each matrix's positions among them (a copy, so the rest is
+        # freed), or all of them for a matrix on every pair
+        pairs, maps = _merge([np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+                              * n + m.indices for m in self.mats])
+        self.n_pairs = len(pairs)
+        self.maps = [slice(None) if len(at) == len(pairs) else at.copy() for at in maps]
+        # A's entries, listed as B1's by p_dof, -B2's by q_dof, then the -T_p
+        # and T_q blocks; slots holds each one's position in A.data
+        i, j = np.divmod(pairs, n)
+        t_p, t_q = dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes]
+        keys, self.slots = _merge([dof.p_dof[i] * size + dof.p_dof[j],
+                                   dof.q_dof[i] * size + dof.q_dof[j],
+                                   (t_p[:, None] * size + t_p).ravel(),
+                                   (t_q[:, None] * size + t_q).ravel()])
+        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
+        self.indices = (keys - np.repeat(np.arange(size) * size, np.diff(self.indptr))
+                        ).astype(np.int32)  # key - row * size, without a division
 
-    def _derive(self, scalars: ScalarMatrices, kind: str) -> None:
-        mats = [scalars.kbar, scalars.mbar] + {"regular": [], "ip": [scalars.kbar_j],
-                                               "bp": [scalars.kg]}[kind]
-        if not all(m.has_canonical_format for m in mats):
-            self.terms = ()  # a duplicate entry would be summed, not aligned
-            return
-        # node pairs of B1 and B2: a zero penalty adds no entries to either
-        keys = [_node_pair_keys(m) for m in mats]
-        pairs = np.unique(np.concatenate(keys))
-        self.terms = tuple(np.zeros(len(pairs)) for _ in mats)
-        for m, k, aligned in zip(mats, keys, self.terms):
-            aligned[np.searchsorted(pairs, k)] = m.data
-        ij = np.divmod(pairs, self.mesh.n_nodes)
-        rows, cols = _entry_positions(self.mesh, self.dof, ij, ij)
-        size = self.dof.size
-        slots, self.first, inverse = np.unique(rows * size + cols, return_index=True,
-                                               return_inverse=True)
-        # a slot holds at most two entries (see build_system)
-        self.dup_src = np.flatnonzero(self.first[inverse] != np.arange(len(rows)))
-        self.dup_slot = inverse[self.dup_src]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(slots // size, minlength=size))])
-        skeleton = sp.csr_matrix((np.zeros(len(slots)), slots % size, indptr),
-                                 shape=(size, size))
-        self.indptr, self.indices = skeleton.indptr, skeleton.indices
-
-    def fill(self, scalars: ScalarMatrices, tbc, kappa: float,
-             method: Method) -> sp.csr_matrix | None:
-        """A on this pattern, or None where the general build must run."""
-        if self.terms is None:
-            self._derive(scalars, method.kind)
-        if not self.terms:
-            return None
-        kbar, mbar, *penalty = self.terms
-        # the sparse sums' operation order; an absent term reads 0 there too
+    def fill(self, tbc, kappa: float, method: Method) -> sp.csr_matrix:
+        """A for these values, holding this pattern's indptr and indices."""
+        kbar, mbar, *penalty = terms = [np.zeros(self.n_pairs) for _ in self.mats]
+        for term, m, at in zip(terms, self.mats, self.maps):
+            term[at] = m.data
+        # the sparse sums' operation order, where an absent entry reads 0;
+        # an exact zero is kept as an entry of A
         b1 = kbar - kappa**2 * mbar
         b2 = kbar + kappa**2 * mbar
         if method.kind == "ip":
@@ -297,15 +292,15 @@ class SystemPattern:
             b2 = b2 + method.gamma * penalty[0]
         elif method.kind == "bp":
             b1 = b1 - method.eta * penalty[0]
-        if not (b1.all() and b2.all()):
-            return None  # the sparse sums drop an exact zero
-        vals = np.concatenate([b1, -b2, -tbc.p_block.ravel(), tbc.q_block.ravel()])
-        data = vals[self.first]
-        data[self.dup_slot] += vals[self.dup_src]
-        size = self.dof.size
-        A = sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
-        # the pattern's own arrays, not views: the solver tells a system
-        # filled into this pattern by their identity
+        # a slot holds one entry, or two on the D-D and T-T blocks; -0.0 is
+        # the exact identity of +, so each slot ends as its one value or the
+        # sum of its two
+        data = np.full(len(self.indices), complex(-0.0, -0.0))
+        for at, vals in zip(self.slots, (b1, -b2, -tbc.p_block.ravel(), tbc.q_block.ravel())):
+            np.add.at(data, at, vals.astype(complex))  # complex: ufunc.at's fast loop
+        A = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.dof.size,) * 2)
+        # the pattern's own arrays, not views: the solver tells a system of
+        # this pattern by their identity
         A.indptr, A.indices = self.indptr, self.indices
         return A
 
@@ -322,34 +317,13 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
         Incident-field load; lands on the p-field T rows.
     """
     pattern = scalars.patterns.get(method.kind)
-    later = pattern is not None and pattern.mesh is mesh
-    if not later:
-        pattern = scalars.patterns[method.kind] = SystemPattern(mesh)
+    if pattern is None or pattern.mesh is not mesh:
+        pattern = scalars.patterns[method.kind] = SystemPattern(mesh, scalars, method.kind)
     dof = pattern.dof
     nt = dof.n_trunc
     if tbc.p_block.shape != (nt, nt) or len(load_t) != nt:
         raise AssemblyError("TBC/load dimensions do not match the mesh T nodes")
 
-    A = pattern.fill(scalars, tbc, kappa, method) if later else None
-    if A is None:
-        A = _relabel(mesh, scalars, tbc, kappa, method, dof)
     F = np.zeros(dof.size, dtype=complex)
     F[dof.p_dof[mesh.t_nodes]] = load_t
-    return BlockSystem(A, F, dof, method, pattern, tbc)
-
-
-def _relabel(mesh: Mesh, scalars: ScalarMatrices, tbc, kappa: float, method: Method,
-             dof: DofMap) -> sp.csr_matrix:
-    """The general build: B1 and B2 as sparse sums, relabelled in one conversion."""
-    b1 = (scalars.kbar - kappa**2 * scalars.mbar - method.gamma * scalars.kbar_j
-          - method.eta * scalars.kg)
-    b2 = scalars.kbar + kappa**2 * scalars.mbar + method.gamma * scalars.kbar_j
-
-    # the relabelling P: a D node's p and q entries land in its one shared
-    # row and column, where csr conversion sums them
-    b1, b2 = b1.tocoo(), b2.tocoo()
-    rows, cols = _entry_positions(mesh, dof, (b1.row, b1.col), (b2.row, b2.col))
-    vals = np.concatenate([b1.data, -b2.data, -tbc.p_block.ravel(), tbc.q_block.ravel()])
-    # every block is exactly symmetric and each entry sums at most two
-    # terms, so A = A^T exactly without a repair pass
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dof.size, dof.size))
+    return BlockSystem(pattern.fill(tbc, kappa, method), F, dof, method, pattern, tbc)

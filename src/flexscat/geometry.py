@@ -253,6 +253,10 @@ class Mesh:
         return (list(map(repr, range(1, self.n_nodes + 1))),
                 *(list(map(repr, column)) for column in self.nodes.T.tolist()))
 
+    def triangle_text(self, base: int) -> np.ndarray:
+        """The triangles' node ids from `base` (0 or 1) as node_text's id text."""
+        return np.array(["0", *self.node_text[0]], dtype=object)[self.triangles + base]
+
     @property
     def truncation_radius(self) -> float:
         return float(np.linalg.norm(self.nodes[self.t_nodes], axis=1).mean())
@@ -519,7 +523,7 @@ def export_mesh(mesh: Mesh) -> str:
     return (f"nodes {n}\n"
             + format_rows(*mesh.node_text, mesh.node_class.tolist(), sep=" ")
             + f"triangles {m}\n"
-            + format_rows(range(1, m + 1), *(mesh.triangles + 1).T.tolist(), sep=" "))
+            + format_rows(range(1, m + 1), *mesh.triangle_text(1).T, sep=" "))
 
 
 def _read_block(lines: list, pos: int, word: str, types: tuple, layout: str):

@@ -311,7 +311,7 @@ def vtk_field(field: SolutionField, mesh: Mesh) -> str:
              f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
              format_rows(*mesh.node_text[1:], ["0.0"] * n, sep=" "),
              f"CELLS {m} {4 * m}\n",
-             format_rows(["3"] * m, *mesh.triangles.T.tolist(), sep=" "),
+             format_rows(["3"] * m, *mesh.triangle_text(0).T, sep=" "),
              f"CELL_TYPES {m}\n", "5\n" * m, f"POINT_DATA {n}\n"]
     # Re/Im of v and w: the last four of the field's text columns
     for name, column in zip(("Re_v", "Im_v", "Re_w", "Im_w"), field.value_text[4:]):

@@ -10,8 +10,8 @@ symmetric attempt factors a copy of A that also stores explicit zeros for
 every pair of cavity unknowns; that orders them last, as a constrained
 minimum degree (CAMD) would, and leaves A's values unchanged.
 Minimum degree reads A's pattern alone, so the permutation of an attempt
-that passes is kept with A's SystemPattern.  A later system filled into
-that pattern (the next value of a sweep: same mesh and method kind) is
+that passes is kept with A's SystemPattern, whose arrays every A of that
+mesh and method kind holds.  The next such A (a sweep's next value) is
 factored pre-permuted, P A P^T with the NATURAL ordering in symmetric
 mode: the same attempt without the ordering work or the clique copy.
 
@@ -145,26 +145,22 @@ def _cavity_last(A: sp.csc_matrix, n_cavity: int) -> sp.csc_matrix:
 
 
 class _Ordering:
-    """A passing symmetric attempt's permutation and the pattern it was
-    computed on; unknown i is row and column perm[i] of P A P^T."""
+    """A passing symmetric attempt's permutation of its SystemPattern;
+    unknown i is row and column perm[i] of P A P^T."""
 
-    def __init__(self, A: sp.csr_matrix, perm: np.ndarray):
-        self.indptr, self.indices = A.indptr, A.indices
+    def __init__(self, perm: np.ndarray):
         self.perm = perm.copy()  # splu's array would keep the factors alive
         self._gather = None
 
-    def fits(self, A: sp.csr_matrix) -> bool:
-        return np.array_equal(A.indptr, self.indptr) and np.array_equal(A.indices, self.indices)
-
-    def factor(self, data: np.ndarray):
+    def factor(self, pattern, data: np.ndarray):
         """splu of P A P^T for the A with this pattern and these values,
         which A = A^T lets us store as CSR and read as CSC."""
-        n = len(self.indptr) - 1
+        n = len(pattern.indptr) - 1
         if self._gather is None:
-            rows = self.perm[np.repeat(np.arange(n), np.diff(self.indptr))].astype(np.int64)
-            cols = self.perm[self.indices]
+            rows = self.perm[np.repeat(np.arange(n), np.diff(pattern.indptr))].astype(np.int64)
+            cols = self.perm[pattern.indices]
             order = np.argsort(rows * n + cols)
-            indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(self.indptr.dtype)
+            indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(pattern.indptr.dtype)
             self._gather = order, cols[order], indptr
         order, indices, indptr = self._gather
         lu = splu(sp.csc_matrix((data[order], indices, indptr), shape=(n, n)), **PERMUTED)
@@ -207,20 +203,12 @@ class _Woodbury:
         return y - (self.z @ t.real + 1j * (self.z @ t.imag))
 
 
-def _kept_ordering(system: BlockSystem) -> _Ordering | None:
-    """The pattern's kept ordering, for a system filled into that pattern."""
-    pattern = system.pattern
-    if pattern is None or pattern.ordering is None or system.A.indices is not pattern.indices:
-        return None
-    return pattern.ordering if pattern.ordering.fits(system.A) else None
-
-
-def _factor(system: BlockSystem, matrix: sp.csc_matrix, settings: dict, kept):
+def _factor(system: BlockSystem, matrix: sp.csc_matrix, settings: dict, pattern):
     """splu of A or Re A (`matrix`, with A's pattern) under `settings`; the
-    symmetric settings take the kept ordering if there is one."""
+    symmetric settings take the pattern's kept ordering if there is one."""
     if settings == SYMMETRIC:
-        if kept is not None:
-            return kept.factor(matrix.data)
+        if pattern is not None and pattern.ordering is not None:
+            return pattern.ordering.factor(pattern, matrix.data)
         if system.method.kind == "ip":
             # the cavity clique pays only where the KJ stencil carries the fill
             matrix = _cavity_last(matrix, system.dof_map.n_cavity)
@@ -232,9 +220,9 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
 
     Returns the first attempt to pass the gate: for a system of at least
     REAL_MIN_DOFS unknowns with its TBC, the symmetric attempt on A_r = Re A
-    with the Woodbury correction, then each of FACTORIZATIONS on A.  A system
-    filled into a pattern with a kept ordering factors with the PERMUTED
-    settings in place of the symmetric ones.  Raises SolverError if none
+    with the Woodbury correction, then each of FACTORIZATIONS on A.  An A that
+    holds the arrays of a pattern with a kept ordering is factored with the
+    PERMUTED settings in place of the symmetric ones.  Raises SolverError if none
     passes: each factorization fails, or its solution is non-finite or has a
     relative residual above RESIDUAL_BOUND.
     """
@@ -251,7 +239,10 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
         denom = a_norm * np.linalg.norm(x) + f_norm
         return float(r / denom) if denom > 0 else float(r)
 
-    kept = _kept_ordering(system)
+    pattern = system.pattern  # its kept ordering serves a system holding its own arrays
+    if pattern is not None and not (system.A.indices is pattern.indices
+                                    and system.A.indptr is pattern.indptr):
+        pattern = None
     real = system.tbc is not None and system.dof_map.size >= REAL_MIN_DOFS
     attempts = [(True, SYMMETRIC)] * real + [(False, s) for s in FACTORIZATIONS]
     for in_real, settings in attempts:
@@ -259,11 +250,11 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
             if in_real:
                 A_r = sp.csc_matrix((system.A.data.real.copy(), A.indices, A.indptr),
                                     shape=A.shape)
-                factors = _factor(system, A_r, settings, kept)
+                factors = _factor(system, A_r, settings, pattern)
                 del A_r  # the factors hold their own copy
                 lu = _Woodbury(factors, system)
             else:
-                lu = factors = _factor(system, A, settings, kept)
+                lu = factors = _factor(system, A, settings, pattern)
         except (RuntimeError, np.linalg.LinAlgError) as exc:  # singular matrix
             failure = f"factorization failed: {exc}"
             continue
@@ -281,9 +272,9 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
             if residual <= RESIDUAL_BOUND:
                 break
         if residual <= RESIDUAL_BOUND:
-            if settings == SYMMETRIC and kept is None and system.pattern is not None:
+            if settings == SYMMETRIC and pattern is not None and pattern.ordering is None:
                 # any passing fresh attempt keeps its ordering for later systems
-                system.pattern.ordering = _Ordering(system.A, factors.perm_c)
+                pattern.ordering = _Ordering(factors.perm_c)
             return w, residual
         failure = f"relative residual {residual:.3e} exceeds {RESIDUAL_BOUND}"
     raise SolverError(failure)

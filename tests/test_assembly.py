@@ -350,6 +350,58 @@ def test_global_system_equals_triple_product(shape, h, method):
     assert A.data.tobytes() == ref.data.tobytes()
 
 
+def test_exact_cancellation_is_stored_as_a_zero_of_the_pattern(coarse_circle_mesh):
+    # with Kbar replaced by Mbar and kappa = 1, B1 = Mbar - Mbar cancels to
+    # exact zeros; A keeps them as stored zeros of its kind's pattern
+    mesh = coarse_circle_mesh
+    scalars = assemble_all(mesh)
+    cancelled = dataclasses.replace(scalars, kbar=scalars.mbar)
+    method = Method.regular()
+    tbc = assemble_tbc(mesh, 1.0, R, 15)
+    load = incident_load(tbc, 1.0, R, math.pi / 3)
+    A = build_system(mesh, cancelled, tbc, load, 1.0, method).A
+    assert np.array_equal(A.toarray(), triple_product_system(mesh, cancelled, tbc, 1.0,
+                                                             method).toarray())
+    assert A.nnz > np.count_nonzero(A.data)
+    plain = build_system(mesh, scalars, tbc, load, 1.0, method).A
+    assert np.array_equal(A.indptr, plain.indptr) and np.array_equal(A.indices, plain.indices)
+    # a refill with another kappa shares A's arrays and matches the formula
+    tbc2 = assemble_tbc(mesh, 2.0, R, 15)
+    refill = build_system(mesh, cancelled, tbc2, incident_load(tbc2, 2.0, R, 0.3), 2.0, method)
+    assert refill.A.indptr is A.indptr and refill.A.indices is A.indices
+    ref = triple_product_system(mesh, cancelled, tbc2, 2.0, method)
+    assert np.array_equal(refill.A.indices, ref.indices)
+    assert refill.A.data.tobytes() == ref.data.tobytes()
+
+
+def test_non_canonical_scalar_matrices_are_canonicalised_on_a_copy(coarse_circle_mesh):
+    mesh = coarse_circle_mesh
+    scalars = assemble_all(mesh)
+    tbc = assemble_tbc(mesh, KAPPA, R, 15)
+    load = incident_load(tbc, KAPPA, R, math.pi / 3)
+    method = Method.interior_penalty(KAPPA * 1e-3)
+    # KbarJ with each row's columns descending and every entry split into
+    # two exact halves: unsorted, with duplicates
+    kj = scalars.kbar_j
+    rows = np.repeat(np.arange(mesh.n_nodes), np.diff(kj.indptr))
+    split = np.repeat(np.lexsort((-kj.indices, rows)), 2)
+    messy = sp.csr_matrix((kj.data[split] / 2, kj.indices[split], 2 * kj.indptr),
+                          shape=kj.shape)
+    before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
+    assert not messy.has_canonical_format
+    A = build_system(mesh, dataclasses.replace(scalars, kbar_j=messy), tbc, load, KAPPA,
+                     method).A
+    ref = build_system(mesh, scalars, tbc, load, KAPPA, method).A
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).tobytes() == getattr(ref, name).tobytes()
+    for a, b in zip(before, (messy.data, messy.indices, messy.indptr)):
+        assert np.array_equal(a, b)  # the input is left as it was
+    # a matrix that is not square over the mesh nodes is rejected
+    with pytest.raises(AssemblyError):
+        build_system(mesh, dataclasses.replace(scalars, kg=scalars.kg[:-1]), tbc, load,
+                     KAPPA, Method.boundary_penalty(0.01))
+
+
 def test_build_system_dimension_mismatch(coarse_circle_mesh):
     mesh = coarse_circle_mesh
     scalars = assemble_all(mesh)

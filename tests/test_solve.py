@@ -14,6 +14,13 @@ from flexscat.solve import (FACTORIZATIONS, PERMUTED, RESIDUAL_BOUND, SolverErro
 from conftest import ALPHA, KAPPA, R, RHAT, solve_direct
 
 
+def cold(system):
+    """`system` with its pattern's kept ordering dropped, so that its next
+    solve orders afresh: an already-solved system would reuse it."""
+    system.pattern.ordering = None
+    return system
+
+
 def record_splu(monkeypatch, symmetric=None, replaced=FACTORIZATIONS[0]):
     """Log each splu call's settings; `symmetric` stands in for the `replaced` one."""
     calls = []
@@ -131,7 +138,7 @@ def test_symmetric_failure_falls_back_to_colamd(coarse_regular_solution,
                                                  monkeypatch, symmetric):
     _, system = coarse_regular_solution
     calls = record_splu(monkeypatch, symmetric)
-    w, residual = solve_system(system)
+    w, residual = solve_system(cold(system))
     assert calls == [FACTORIZATIONS[0], {}]
     assert residual <= RESIDUAL_BOUND
     r = np.linalg.norm(system.A @ w - system.F) / np.linalg.norm(system.F)
@@ -156,7 +163,7 @@ def test_plain_attempt_factors_the_arrays_of_a(coarse_regular_solution, monkeypa
         return original(a, **settings)
 
     monkeypatch.setattr(solve, "splu", splu)
-    solve_system(system)
+    solve_system(cold(system))
     (a,) = seen
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(a, name), getattr(system.A, name))
@@ -176,7 +183,7 @@ def test_ip_symmetric_attempt_orders_cavity_unknowns_last(medium_circle_mesh,
         return lu
 
     monkeypatch.setattr(solve, "splu", splu)
-    solve_system(system)
+    solve_system(cold(system))
     (_, sym), (colamd_a, _) = seen
     first = 2 * system.dof_map.n_interior + 2 * system.dof_map.n_trunc  # P_D
     # column j of A is column perm_c[j] of the factored matrix
@@ -200,9 +207,9 @@ def test_symmetric_and_colamd_paths_agree(monkeypatch, shape, h, method):
     _, system = solve_direct(generate_mesh_for_h(shape, R, h), method)
     calls = record_splu(monkeypatch)
     monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
-    w_real, _ = solve_system(system)
+    w_real, _ = solve_system(cold(system))
     monkeypatch.setattr(solve, "REAL_MIN_DOFS", math.inf)
-    w_sym, _ = solve_system(system)
+    w_sym, _ = solve_system(cold(system))
     monkeypatch.setattr(solve, "FACTORIZATIONS", FACTORIZATIONS[1:])
     w_colamd, _ = solve_system(system)
     assert calls == [FACTORIZATIONS[0], FACTORIZATIONS[0], {}]
@@ -221,7 +228,7 @@ def test_real_attempt_factors_real_values(medium_circle_mesh, monkeypatch):
         return seen[-1][2]
 
     monkeypatch.setattr(solve, "splu", splu)
-    _, residual = solve_system(system)
+    _, residual = solve_system(cold(system))
     ((settings, a, lu),) = seen
     assert settings == FACTORIZATIONS[0]
     assert a.dtype == lu.L.dtype == lu.U.dtype == np.float64
@@ -236,7 +243,7 @@ def test_small_system_factors_as_before(medium_circle_mesh, monkeypatch):
     monkeypatch.setattr(type(system.tbc), "p_imag_factors",
                         lambda tbc: pytest.fail("built the low-rank form"))
     calls = record_splu(monkeypatch)
-    _, residual = solve_system(system)
+    _, residual = solve_system(cold(system))
     assert calls == [FACTORIZATIONS[0]]
     assert residual <= RESIDUAL_BOUND
 
@@ -258,7 +265,7 @@ def test_real_failure_falls_back(coarse_regular_solution, monkeypatch, failing, 
         return original(a, **FACTORIZATIONS[0])
 
     calls = record_splu(monkeypatch, symmetric)
-    w, residual = solve_system(system)
+    w, residual = solve_system(cold(system))
     assert calls == [FACTORIZATIONS[0]] * 2 + [{}] * complex_too
     assert residual <= RESIDUAL_BOUND
     r = np.linalg.norm(system.A @ w - system.F) / np.linalg.norm(system.F)
@@ -322,17 +329,20 @@ def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypa
         assert np.linalg.norm(w - w_fresh) <= 1e-12 * np.linalg.norm(w_fresh)
 
 
-def test_first_system_of_a_kind_derives_no_pattern(coarse_circle_mesh):
+def test_every_system_of_a_kind_holds_its_pattern_arrays(coarse_circle_mesh):
     mesh = coarse_circle_mesh
     scalars = assemble_all(mesh)
     tbc, load = cli.tbc_and_load(ScatterConfig(), mesh)
     first = build_system(mesh, scalars, tbc, load, KAPPA, Method.boundary_penalty(0.01))
-    assert first.pattern.terms is None
+    pattern = first.pattern
+    assert first.A.indptr is pattern.indptr and first.A.indices is pattern.indices
     later = build_system(mesh, scalars, tbc, load, KAPPA, Method.boundary_penalty(0.02))
-    assert later.pattern is first.pattern and later.A.indices is first.pattern.indices
-    # another kind on the same scalars starts its own pattern
+    assert later.pattern is pattern
+    assert later.A.indptr is pattern.indptr and later.A.indices is pattern.indices
+    # another kind on the same scalars gets its own pattern
     other = build_system(mesh, scalars, tbc, load, KAPPA, Method.regular())
-    assert other.pattern is not first.pattern and other.pattern.terms is None
+    assert other.pattern is not pattern
+    assert other.A.indptr is other.pattern.indptr and other.A.indices is other.pattern.indices
 
 
 @pytest.mark.parametrize("permuted", [
