@@ -267,13 +267,19 @@ class SystemPattern:
         self.n_pairs = len(pairs)
         self.maps = [slice(None) if len(at) == len(pairs) else at.copy() for at in maps]
         # A's entries, listed as B1's by p_dof, -B2's by q_dof, then the -T_p
-        # and T_q blocks; slots holds each one's position in A.data
+        # and T_q blocks; slots holds the position in A.data of each entry of
+        # B1 and -B2.  The T unknowns of a field are consecutive, so each T row
+        # holds its block row as one run of n_trunc slots: runs holds, per
+        # block, the first slot of each row's run
         i, j = np.divmod(pairs, n)
         t_p, t_q = dof.p_dof[mesh.t_nodes], dof.q_dof[mesh.t_nodes]
-        keys, self.slots = _merge([dof.p_dof[i] * size + dof.p_dof[j],
-                                   dof.q_dof[i] * size + dof.q_dof[j],
-                                   (t_p[:, None] * size + t_p).ravel(),
-                                   (t_q[:, None] * size + t_q).ravel()])
+        keys, slots = _merge([dof.p_dof[i] * size + dof.p_dof[j],
+                              dof.q_dof[i] * size + dof.q_dof[j],
+                              (t_p[:, None] * size + t_p).ravel(),
+                              (t_q[:, None] * size + t_q).ravel()])
+        # copies: the views would keep the blocks' slots alive
+        self.slots = [at.copy() for at in slots[:2]]
+        self.runs = [at[::dof.n_trunc].copy() for at in slots[2:]]
         self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
         self.indices = (keys - np.repeat(np.arange(size) * size, np.diff(self.indptr))
                         ).astype(np.int32)  # key - row * size, without a division
@@ -296,8 +302,11 @@ class SystemPattern:
         # the exact identity of +, so each slot ends as its one value or the
         # sum of its two
         data = np.full(len(self.indices), complex(-0.0, -0.0))
-        for at, vals in zip(self.slots, (b1, -b2, -tbc.p_block.ravel(), tbc.q_block.ravel())):
+        for at, vals in zip(self.slots, (b1, -b2)):
             np.add.at(data, at, vals.astype(complex))  # complex: ufunc.at's fast loop
+        cols = np.arange(self.dof.n_trunc)
+        for starts, block in zip(self.runs, (-tbc.p_block, tbc.q_block)):
+            data[starts[:, None] + cols] += block  # each row into its run, each slot once
         A = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.dof.size,) * 2)
         # the pattern's own arrays, not views: the solver tells a system of
         # this pattern by their identity

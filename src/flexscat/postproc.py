@@ -107,33 +107,32 @@ def _fe_gradients(mesh: Mesh, nodal: np.ndarray):
     return np.einsum("mb,mbx->mx", nodal[mesh.triangles], mesh.grads)
 
 
+def _norm2(x: np.ndarray, mesh: Mesh, wts: np.ndarray) -> float:
+    """Squared L2 norm of values (M, Q) or gradients (M, Q, 2) at the rule's points."""
+    # quadrature weights are area-normalized
+    sq = np.abs(x) ** 2
+    if x.ndim == 3:
+        sq = sq.sum(axis=-1)
+    return float(np.einsum("mq,q,m->", sq, wts, mesh.areas))
+
+
 def exact_samples(mesh: Mesh, exact, rule: str = "deg4"):
-    """(rule, v, w, grad_v, grad_w) of ``exact(points)`` at the rule's points."""
-    return (rule, *exact(_quad_points(mesh, _RULES[rule][0])))
+    """(rule, (v, w, grad_v, grad_w), norms) of ``exact(points)`` at the rule's
+    points, with the squared norm of each of the four for every solve on it."""
+    pts_b, wts = _RULES[rule]
+    values = exact(_quad_points(mesh, pts_b))
+    return rule, values, [_norm2(x, mesh, wts) for x in values]
 
 
 def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
                    kappa: float, n_trunc: int) -> ErrorReport:
     """Relative L2 and H1(semi) errors of v and w against ``exact_samples``."""
-    rule, v_e, w_e, gv_e, gw_e = samples
+    rule, exact, norms = samples
     pts_b, wts = _RULES[rule]
-    areas = mesh.areas
-    v_h = _fe_values(mesh, field.v, pts_b)
-    w_h = _fe_values(mesh, field.w, pts_b)
-    gv_h = _fe_gradients(mesh, field.v)[:, None, :]
-    gw_h = _fe_gradients(mesh, field.w)[:, None, :]
-
-    def norm2(x):
-        # quadrature weights are area-normalized
-        sq = np.abs(x) ** 2
-        if x.ndim == 3:
-            sq = sq.sum(axis=-1)
-        return float(np.einsum("mq,q,m->", sq, wts, areas))
-
-    e_l2_v = math.sqrt(norm2(v_e - v_h) / norm2(v_e))
-    e_l2_w = math.sqrt(norm2(w_e - w_h) / norm2(w_e))
-    e_h1_v = math.sqrt(norm2(gv_e - gv_h) / norm2(gv_e))
-    e_h1_w = math.sqrt(norm2(gw_e - gw_h) / norm2(gw_e))
+    fe = (_fe_values(mesh, field.v, pts_b), _fe_values(mesh, field.w, pts_b),
+          _fe_gradients(mesh, field.v)[:, None, :], _fe_gradients(mesh, field.w)[:, None, :])
+    e_l2_v, e_l2_w, e_h1_v, e_h1_w = (math.sqrt(_norm2(x_e - x_h, mesh, wts) / norm)
+                                      for x_e, x_h, norm in zip(exact, fe, norms))
     return ErrorReport(method=method.label, kappa=float(kappa), gamma=float(method.gamma),
                        eta=float(method.eta), n_trunc=n_trunc, h=mesh.h,
                        dofs=mesh.n_dofs, e_l2_v=e_l2_v, e_h1_v=e_h1_v,

@@ -24,9 +24,14 @@ fast in n).  The attempts, in order:
 1. real (systems of at least REAL_MIN_DOFS unknowns): the symmetric attempt
    above on A_r, in real arithmetic, whose factors' values take 8 bytes
    per entry, not 16.  A x = b is then solved by the Woodbury identity
-   (Hager, SIAM Review 31, 1989): Z = A_r^-1 U once, an r x r complex
-   capacitance matrix, and per right-hand side one 2-column real solve
-   plus the rank-r correction.
+   (Hager, SIAM Review 31, 1989) on the columns of U of weight at least
+   KEEP_WEIGHT = sqrt(eps) of the largest (17 of 25 at kappa R = 0.6 pi,
+   N = 15): Z = A_r^-1 U once, an r x r complex capacitance matrix, and per
+   right-hand side one real solve each for Re b and Im b plus the rank-r
+   correction.  The first refinement sweep squares the columns left out
+   down to roundoff.  Z's two fixed column halves, like Re b and Im b, are
+   solved on two threads (_both), so the bits do not depend on whether the
+   halves overlap.
 2. the symmetric attempt on A;
 3. COLAMD with partial pivoting on the plain A.
 
@@ -37,16 +42,24 @@ most RESIDUAL_BOUND; an attempt that raises or misses it falls to the next.
 
 REAL_MIN_DOFS is the measured break-even of attempt 1 against attempt 2:
 the real attempt pays for Z's r solves, which a small factorization does
-not repay.  Median time ratio real / complex of solve_system (alternating
-runs, 1 BLAS thread, 2-core VM; fresh ordering / kept ordering):
+not repay.  It was set with all r columns and one block solve for Z, where
+the real attempt won in every repeated run from 2,000 unknowns up.  With
+the cut and the two threads it moved down.  Median time ratio real /
+complex of solve_system (alternating calls in one process, 1 BLAS thread,
+2-core VM; fresh and kept ordering; the range of two runs below 7,350
+unknowns, one run from there up):
 
-    dofs          495 IP     495 regular   990-1,014    1,343      1,802-1,938
-    ratio       1.06/1.08     1.23/1.30    1.02-1.07  0.93/0.96    0.89-0.95
-    dofs      2,310-2,565  2,898-3,807      7,350    13,520 IP  13,520 BP
-    ratio       0.89-0.98    0.89-0.92   0.86/0.87     0.81       0.92
+    dofs       495 IP      495 regular     990 IP       1,326 IP     1,881 IP
+    fresh     1.10-1.22    1.38-1.57     0.95-0.98    0.88-0.91       0.84
+    kept      1.20-1.46    1.50-1.80     0.98-1.08    0.88-1.00    0.82-0.83
+    dofs      2,310 IP     2,898 IP      7,350 IP    13,520 IP    13,520 BP
+    fresh     0.77-0.82    0.80-0.83       0.75         0.70         0.79
+    kept      0.80-0.90    0.76-0.77       0.71         0.68         0.78
 
-(13,520: best of 7.)  At 1,802 and 1,881 unknowns the real attempt lost
-or tied in some repeated runs; from 2,000 up it won in every one.
+(circles of radius 0.3, kites 0.3,0.2,0.1.)  The real attempt now won in
+every run from 1,881 unknowns up and tied at 990 to 1,326.  REAL_MIN_DOFS
+stays at 2,000 until a lower value, which moves the 1,881-unknown h = 0.05
+circle onto the real attempt, is measured end to end.
 
 The nodal fields then follow from the closed relations (u_inc satisfies
 Laplacian(u_inc) = -kappa^2 u_inc):
@@ -59,6 +72,8 @@ Laplacian(u_inc) = -kappa^2 u_inc):
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +88,9 @@ from .geometry import Mesh
 RESIDUAL_BOUND = 1e-10
 #: the fewest unknowns for which the real attempt runs (break-even, module docstring)
 REAL_MIN_DOFS = 2000
+#: the least weight, relative to the largest, of a column kept in the Woodbury
+#: correction: what one refinement sweep squares down to roundoff (sqrt(eps))
+KEEP_WEIGHT = math.sqrt(np.finfo(float).eps)
 
 #: symmetric mode: minimum degree on A + A^T, diagonal pivots
 SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -179,25 +197,44 @@ class _Permuted:
         return self.lu.solve(c)[self.perm]
 
 
+def _both(solve, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(solve(first), solve(second)), the second on a thread of its own.
+
+    SuperLU's solve releases the GIL and only reads its factors, so on two
+    cores the halves run at once; on one they run in turn, with the same bits.
+    An exception of either half is raised here.
+    """
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(solve, second)
+        return solve(first), later.result()
+
+
 class _Woodbury:
     """Solves A x = b for A = A_r - i U diag(s) U^T, given the real factors
     of A_r (Woodbury identity), where (U, s) = tbc.p_imag_factors() sits on
-    the P_T rows: A holds -T_p there."""
+    the P_T rows: A holds -T_p there.
+
+    Only the columns of weight s >= KEEP_WEIGHT max(s) enter U; the first
+    refinement sweep on the complex A squares the rest down to roundoff.
+    """
 
     def __init__(self, lu, system: BlockSystem):
         dof = system.dof_map
         self.rows = slice(2 * dof.n_interior, 2 * dof.n_interior + dof.n_trunc)
         self.lu = lu
-        self.u, s = system.tbc.p_imag_factors()
+        u, s = system.tbc.p_imag_factors()
+        keep = s >= KEEP_WEIGHT * s.max()
+        self.u, s = u[:, keep], s[keep]
         basis = np.zeros((dof.size, len(s)))
         basis[self.rows] = self.u
-        self.z = lu.solve(basis)  # A_r^-1 U: one block solve over the r columns
+        half = (len(s) + 1) // 2  # A_r^-1 U in two fixed column halves
+        self.z = np.hstack(_both(lu.solve, basis[:, :half], basis[:, half:]))
         capacitance = np.diag(1.0 / (-1j * s)) + self.u.T @ self.z[self.rows]
         self.capacitance = np.linalg.inv(capacitance)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.lu.solve(np.column_stack([b.real, b.imag]))  # one 2-column real solve
-        y = y[:, 0] + 1j * y[:, 1]
+        y_re, y_im = _both(self.lu.solve, b.real, b.imag)  # two 1-column real solves
+        y = y_re + 1j * y_im
         t = self.capacitance @ (self.u.T @ y[self.rows])
         # Z is real: two real products, not a complex copy of Z
         return y - (self.z @ t.real + 1j * (self.z @ t.imag))
@@ -255,22 +292,24 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
                 lu = _Woodbury(factors, system)
             else:
                 lu = factors = _factor(system, A, settings, pattern)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:  # singular matrix
+            w = lu.solve(system.F)
+            if not np.all(np.isfinite(w)):
+                failure = "solver produced non-finite entries (singular system)"
+                continue
+            # iterative refinement reuses the factorization.  The first sweep
+            # always runs: diagonal pivots can lose digits of w (6e-9 relative
+            # on an ellipse) while the backward error stays far inside the gate,
+            # and it absorbs the Woodbury columns left out.  The second recovers
+            # digits lost to ill-conditioning on graded meshes.
+            for _ in range(2):
+                w = w + lu.solve(system.F - system.A @ w)
+                residual = rel_residual(w)
+                if residual <= RESIDUAL_BOUND:
+                    break
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            # a singular matrix, or a failed half of the real attempt's solves
             failure = f"factorization failed: {exc}"
             continue
-        w = lu.solve(system.F)
-        if not np.all(np.isfinite(w)):
-            failure = "solver produced non-finite entries (singular system)"
-            continue
-        # iterative refinement reuses the factorization.  The first sweep
-        # always runs: diagonal pivots can lose digits of w (6e-9 relative on
-        # an ellipse) while the backward error stays far inside the gate.  The
-        # second recovers digits lost to ill-conditioning on graded meshes.
-        for _ in range(2):
-            w = w + lu.solve(system.F - system.A @ w)
-            residual = rel_residual(w)
-            if residual <= RESIDUAL_BOUND:
-                break
         if residual <= RESIDUAL_BOUND:
             if settings == SYMMETRIC and pattern is not None and pattern.ordering is None:
                 # any passing fresh attempt keeps its ordering for later systems

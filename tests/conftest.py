@@ -1,6 +1,7 @@
 """Shared fixtures: small meshes and solved fields reused across test files."""
 
 import math
+import threading
 
 import pytest
 
@@ -27,6 +28,15 @@ def solve_direct(mesh, method, kappa=KAPPA, alpha=ALPHA, radius=R, n=N_TRUNC):
     field = recover_fields(w_vec, system, mesh, IncidentField(kappa, alpha),
                            residual)
     return field, system
+
+
+def count_threads(monkeypatch):
+    """A list that logs every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
 
 
 def mode_determinant(n, kappa, r_cavity):

@@ -22,6 +22,7 @@ from flexscat.config import ConfigError, ScatterConfig
 from flexscat.geometry import Circle, import_mesh
 from flexscat.assembly import Method
 from flexscat.postproc import ErrorReport
+from conftest import count_threads
 
 
 def run(args):
@@ -479,3 +480,20 @@ def test_fuzzed_flags_exit_cleanly(argv):
     assert "Traceback" not in err.getvalue(), argv
     if status:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+def test_solves_below_the_real_attempt_start_no_thread(tmp_path, monkeypatch):
+    """The benchmark's ladder (495 and 1,881 dofs), its gamma sweep (495) and its
+    set-up probe (solve --h 0.2) stay on the complex path, in one thread."""
+    started = count_threads(monkeypatch)
+    ip = ["--shape", "circle:0.3", "--method", "ip:0.0031", "--oracle", "series"]
+    for k, argv in enumerate([["solve", "--h", "0.2"],
+                              ["solve", *ip, "--h", "0.1"],
+                              ["solve", *ip, "--h", "0.05"],
+                              ["sweep", "--param", "gamma", "--logspace", "1e-4", "1e-1", "3",
+                               *ip, "--h", "0.1"]]):
+        assert run([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
+    assert started == []
+    # the same hook sees the real attempt's threads above REAL_MIN_DOFS
+    assert run(["solve", *ip, "--h", "0.04", "--out", str(tmp_path / "real")]) == 0
+    assert started

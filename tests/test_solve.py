@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import scipy.sparse as sp
 
 from flexscat import (Circle, Ellipse, IncidentField, Kite, Method, ScatterConfig,
                       assemble_all, build_system, cli, generate_mesh_for_h, solve)
-from flexscat.solve import (FACTORIZATIONS, PERMUTED, RESIDUAL_BOUND, SolverError,
-                            recover_fields, solve_system)
-from conftest import ALPHA, KAPPA, R, RHAT, solve_direct
+from flexscat.solve import (FACTORIZATIONS, KEEP_WEIGHT, PERMUTED, RESIDUAL_BOUND,
+                            SolverError, recover_fields, solve_system)
+from conftest import ALPHA, KAPPA, R, RHAT, count_threads, solve_direct
 
 
 def cold(system):
@@ -339,6 +340,12 @@ def test_every_system_of_a_kind_holds_its_pattern_arrays(coarse_circle_mesh):
     later = build_system(mesh, scalars, tbc, load, KAPPA, Method.boundary_penalty(0.02))
     assert later.pattern is pattern
     assert later.A.indptr is pattern.indptr and later.A.indices is pattern.indices
+    # the DtN blocks are kept as one run start per T row, not a slot per entry;
+    # the slots kept are copies, so the blocks' are freed
+    nt = pattern.dof.n_trunc
+    assert [len(starts) for starts in pattern.runs] == [nt, nt]
+    assert sum(len(at) for at in pattern.slots) == 2 * pattern.n_pairs
+    assert all(at.base is None for at in pattern.slots + pattern.runs)
     # another kind on the same scalars gets its own pattern
     other = build_system(mesh, scalars, tbc, load, KAPPA, Method.regular())
     assert other.pattern is not pattern
@@ -362,3 +369,103 @@ def test_permuted_failure_falls_back_to_colamd(medium_circle_mesh, monkeypatch, 
     assert residual <= RESIDUAL_BOUND
     A, F = systems[1].A, systems[1].F
     assert np.linalg.norm(A @ w - F) / np.linalg.norm(F) <= 1e-10
+
+
+def in_turn(solve_, first, second):
+    """solve._both without the second thread."""
+    return solve_(first), solve_(second)
+
+
+def record_woodbury(monkeypatch):
+    """A list that logs every _Woodbury built from now on."""
+    corrected = []
+    woodbury = solve._Woodbury
+    monkeypatch.setattr(solve, "_Woodbury",
+                        lambda *args: corrected.append(woodbury(*args)) or corrected[-1])
+    return corrected
+
+
+@pytest.mark.parametrize("method", [Method.interior_penalty(KAPPA * 1e-3),
+                                    Method.boundary_penalty(2.5 * KAPPA * 1e-3)],
+                         ids=["ip", "bp"])
+def test_threaded_halves_give_the_bits_of_halves_in_turn(monkeypatch, method):
+    _, system = solve_direct(generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.1), method)
+    assert system.dof_map.size >= solve.REAL_MIN_DOFS
+    started = count_threads(monkeypatch)
+    calls = record_splu(monkeypatch)
+    w_threaded, residual_threaded = solve_system(cold(system))
+    assert len(started) == 3  # one each for Z, the right-hand side and one refinement sweep
+    monkeypatch.setattr(solve, "_both", in_turn)
+    w_in_turn, residual_in_turn = solve_system(cold(system))
+    assert len(started) == 3
+    assert calls == [FACTORIZATIONS[0]] * 2  # both passed the real attempt
+    assert w_threaded.tobytes() == w_in_turn.tobytes()
+    assert residual_threaded == residual_in_turn <= RESIDUAL_BOUND
+
+
+def test_woodbury_keeps_the_columns_of_weight_at_least_sqrt_eps(medium_circle_mesh,
+                                                                 monkeypatch):
+    _, system = solve_direct(medium_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
+    u, s = system.tbc.p_imag_factors()
+    # the last two columns sit on the cut and just below it; the rest keep
+    # their weights, whose smallest lie below it too
+    s = s.copy()
+    s[-2:] = KEEP_WEIGHT * s.max() * np.array([1.0, 1.0 - 2.0**-52])
+    keep = s >= KEEP_WEIGHT * s.max()
+    assert keep[-2] and not keep[-1] and 1 < keep.sum() < len(s) - 1
+    monkeypatch.setattr(type(system.tbc), "p_imag_factors", lambda tbc: (u, s))
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+    corrected = record_woodbury(monkeypatch)
+    _, residual = solve_system(cold(system))
+    (kept,) = corrected
+    assert kept.u.tobytes() == u[:, keep].tobytes()
+    assert kept.z.shape == (system.dof_map.size, keep.sum())
+    assert residual <= RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["z-half", "right-hand-side"])
+def test_failure_in_the_second_thread_falls_back(coarse_regular_solution, monkeypatch, call):
+    # the `call`-th solve on the second thread with the real factors raises:
+    # a half of Z, or the imaginary part of the first right-hand side
+    _, system = coarse_regular_solution
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+    original = solve.splu
+    off_main = []
+
+    class FailsOnTheSecondThread:
+        def __init__(self, lu):
+            self.lu, self.perm_c = lu, lu.perm_c
+
+        def solve(self, b):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(b.ndim)
+                if len(off_main) == call:
+                    raise RuntimeError("solve failed on the second thread")
+            return self.lu.solve(b)
+
+    def symmetric(a):
+        lu = original(a, **FACTORIZATIONS[0])
+        return FailsOnTheSecondThread(lu) if a.dtype == np.float64 else lu
+
+    calls = record_splu(monkeypatch, symmetric)
+    w, residual = solve_system(cold(system))
+    assert off_main == [2, 1][:call]
+    assert calls == [FACTORIZATIONS[0]] * 2
+    assert residual <= RESIDUAL_BOUND
+    r = np.linalg.norm(system.A @ w - system.F) / np.linalg.norm(system.F)
+    assert r <= 1e-10
+
+
+def test_converge_on_the_real_path_writes_the_same_bytes_twice(tmp_path, monkeypatch):
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0)
+    corrected = record_woodbury(monkeypatch)
+    outputs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert cli.main(["converge", "--shape", "kite:0.3,0.2,0.1", "--method", "bp:0.0079",
+                         "--oracle", "none", "--levels", "3", "--h", "0.8",
+                         "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("convergence.csv", "orders.json")])
+    assert len(corrected) == 8  # the reference and three levels, twice
+    assert outputs[0] == outputs[1]
