@@ -14,7 +14,9 @@ import dataclasses
 import json
 import math
 import sys
+import traceback
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .dtn import IncidentField, assemble_tbc, incident_load
 from .geometry import (Circle, Mesh, MeshError, cavity_point, export_mesh,
                        generate_mesh_for_h, import_mesh, refine)
 from .postproc import (ErrorReport, PostprocError, boundary_trace, compute_errors,
-                       fe_evaluator)
+                       fe_evaluator, fe_interpolant)
 from .series import RADIAL_SLACK, CavityPointError, SeriesSolution
 from .solve import SolverError, recover_fields, solve_system
 from .table import format_rows
@@ -209,6 +211,26 @@ def observed_orders(reports: list[ErrorReport]) -> dict[str, float]:
     return out
 
 
+def _levels_beside_reference(config: ScatterConfig, meshes: list[Mesh], ref_mesh: Mesh):
+    """Per level, its field and the elements and barycentric coordinates of
+    its quadrature points in the reference mesh: the part of a self-referenced
+    study that never reads the reference field.
+
+    Runs on a worker thread.  scipy frees a SuperLU factor's memory only on
+    the thread that made it, so a level's factors must not outlive its
+    solve_system here: a failure's frames are cleared before the exception
+    reaches the main thread.
+    """
+    try:
+        locate = postproc.PointLocator(ref_mesh).locate
+        return [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))[0],
+                 locate(postproc.quad_points(mesh)))
+                for mesh in meshes]
+    except Exception as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
+
+
 def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     """Solve on successively refined meshes and report observed orders.
 
@@ -217,6 +239,10 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     configured oracle; with ``none``, or ``series`` on a non-circular
     cavity, the truth is an interior-penalty solve on a mesh
     ``REFERENCE_EXTRA_REFINES`` refinements beyond the finest level.
+    While that reference factors, one worker thread solves the levels and
+    locates their quadrature points in the reference mesh; the errors
+    follow once both are done.  A failing reference is reported before a
+    failing level.
     """
     if levels < 3:
         raise ConfigError("convergence study needs at least 3 levels")
@@ -237,15 +263,25 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
             ref_mesh = refine(ref_mesh)
         ref_cfg = dataclasses.replace(
             config, method=Method.interior_penalty(config.kappa * 1e-3))
-        ref_field, _ = solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh),
-                                  *tbc_and_load(ref_cfg, ref_mesh))
-        exact = fe_evaluator(ref_field, ref_mesh)
-
-    reports = []
-    for mesh in meshes:
-        field, _ = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
-        reports.append(compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
-                                      config.method, config.kappa, config.N))
+        ref_system = build_system(ref_mesh, assemble_all(ref_mesh),
+                                  *tbc_and_load(ref_cfg, ref_mesh), ref_cfg.kappa,
+                                  ref_cfg.method)
+        # the reference is factored, solved and dropped on this thread; leaving
+        # the block joins the worker, whose result a failing reference leaves unread
+        with ThreadPoolExecutor(1) as pool:
+            beside = pool.submit(_levels_beside_reference, config, meshes, ref_mesh)
+            w_vec, residual = solve_system(ref_system)
+        ref_field = recover_fields(w_vec, ref_system, ref_mesh,
+                                   IncidentField(ref_cfg.kappa, ref_cfg.alpha), residual)
+        interpolate = fe_interpolant(ref_field, ref_mesh)
+        solved = [(field, postproc.samples_from_values(mesh, interpolate(*sites)))
+                  for mesh, (field, sites) in zip(meshes, beside.result())]
+    else:
+        solved = [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))[0],
+                   postproc.exact_samples(mesh, exact))
+                  for mesh in meshes]
+    reports = [compute_errors(field, mesh, samples, config.method, config.kappa, config.N)
+               for mesh, (field, samples) in zip(meshes, solved)]
 
     (out_dir / "convergence.csv").write_text(postproc.error_csv(reports))
     orders = observed_orders(reports)

@@ -6,10 +6,10 @@ the exact (or reference) solution:
     E_L2 = ||phi_e - phi_h||_0 / ||phi_e||_0,
     E_H1 = ||grad phi_e - grad phi_h||_0 / ||grad phi_e||_0,
 
-integrated element by element with a degree-4 symmetric 6-point triangle
-rule (a degree-7 rule is kept for cross-checks).  The FE gradient is
-constant per element.  ``exact_samples`` evaluates the exact side once per
-mesh and keeps the rule with the values, for any number of solves on it.
+integrated element by element with a symmetric triangle rule, by default
+the degree-4 6-point one.  The FE gradient is constant per element.
+``exact_samples`` evaluates the exact side once per mesh and keeps the rule
+with the values, for any number of solves on it.
 """
 
 from __future__ import annotations
@@ -24,36 +24,16 @@ from .geometry import Mesh
 from .solve import SolutionField
 from .table import format_rows, parse_rows
 
-# Symmetric triangle rules in barycentric coordinates, weights sum to 1.
-_DEG4_PTS = np.array([
+#: The symmetric 6-point degree-4 triangle rule: (barycentric points, weights
+#: summing to 1).  A rule is passed around as such a pair.
+DEG4 = (np.array([
     [0.108103018168070, 0.445948490915965, 0.445948490915965],
     [0.445948490915965, 0.108103018168070, 0.445948490915965],
     [0.445948490915965, 0.445948490915965, 0.108103018168070],
     [0.816847572980459, 0.091576213509771, 0.091576213509771],
     [0.091576213509771, 0.816847572980459, 0.091576213509771],
     [0.091576213509771, 0.091576213509771, 0.816847572980459],
-])
-_DEG4_WTS = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-
-# Dunavant degree-7 (13 points, one negative weight); used only as a
-# quadrature-refinement check.
-_DEG7_PTS = np.array(
-    [[1 / 3, 1 / 3, 1 / 3]]
-    + [[0.479308067841923, 0.260345966079038, 0.260345966079038][i:] +
-       [0.479308067841923, 0.260345966079038, 0.260345966079038][:i] for i in range(3)]
-    + [[0.869739794195568, 0.065130102902216, 0.065130102902216][i:] +
-       [0.869739794195568, 0.065130102902216, 0.065130102902216][:i] for i in range(3)]
-    + [[0.638444188569809, 0.312865496004875, 0.048690315425316],
-       [0.048690315425316, 0.638444188569809, 0.312865496004875],
-       [0.312865496004875, 0.048690315425316, 0.638444188569809],
-       [0.638444188569809, 0.048690315425316, 0.312865496004875],
-       [0.312865496004875, 0.638444188569809, 0.048690315425316],
-       [0.048690315425316, 0.312865496004875, 0.638444188569809]])
-_DEG7_WTS = np.array([-0.149570044467670]
-                     + [0.175615257433204] * 3
-                     + [0.053347235608839] * 3
-                     + [0.077113760890257] * 6)
-_RULES = {"deg4": (_DEG4_PTS, _DEG4_WTS), "deg7": (_DEG7_PTS, _DEG7_WTS)}
+]), np.array([0.223381589678011] * 3 + [0.109951743655322] * 3))
 
 
 class PostprocError(Exception):
@@ -79,10 +59,12 @@ class ErrorReport:
 
 @dataclass
 class BoundaryTrace:
-    """Bending moment at the cavity nodes in loop order, with their polar angles."""
+    """Bending moment at the cavity nodes in loop order, with their polar angles
+    and the Re and Im w text columns of those nodes."""
 
     params: np.ndarray
     w: np.ndarray
+    w_text: tuple[list[str], list[str]]
 
     @property
     def total_variation(self) -> float:
@@ -91,10 +73,10 @@ class BoundaryTrace:
         return float(np.abs(np.diff(np.concatenate([re, re[:1]]))).sum())
 
 
-def _quad_points(mesh: Mesh, rule_pts: np.ndarray):
-    """Physical quadrature points (M, Q, 2) for all elements."""
+def quad_points(mesh: Mesh, rule=DEG4) -> np.ndarray:
+    """Physical points (M, Q, 2) of the rule on all elements."""
     verts = mesh.nodes[mesh.triangles]          # (M, 3, 2)
-    return np.einsum("qb,mbx->mqx", rule_pts, verts)
+    return np.einsum("qb,mbx->mqx", rule[0], verts)
 
 
 def _fe_values(mesh: Mesh, nodal: np.ndarray, rule_pts: np.ndarray):
@@ -116,19 +98,21 @@ def _norm2(x: np.ndarray, mesh: Mesh, wts: np.ndarray) -> float:
     return float(np.einsum("mq,q,m->", sq, wts, mesh.areas))
 
 
-def exact_samples(mesh: Mesh, exact, rule: str = "deg4"):
-    """(rule, (v, w, grad_v, grad_w), norms) of ``exact(points)`` at the rule's
-    points, with the squared norm of each of the four for every solve on it."""
-    pts_b, wts = _RULES[rule]
-    values = exact(_quad_points(mesh, pts_b))
-    return rule, values, [_norm2(x, mesh, wts) for x in values]
+def exact_samples(mesh: Mesh, exact, rule=DEG4):
+    """The samples of ``exact(points)`` at the rule's points."""
+    return samples_from_values(mesh, exact(quad_points(mesh, rule)), rule)
+
+
+def samples_from_values(mesh: Mesh, values, rule=DEG4):
+    """(rule, (v, w, grad_v, grad_w), norms): exact values at the rule's points,
+    with the squared norm of each of the four for every solve on it."""
+    return rule, values, [_norm2(x, mesh, rule[1]) for x in values]
 
 
 def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
                    kappa: float, n_trunc: int) -> ErrorReport:
     """Relative L2 and H1(semi) errors of v and w against ``exact_samples``."""
-    rule, exact, norms = samples
-    pts_b, wts = _RULES[rule]
+    (pts_b, wts), exact, norms = samples
     fe = (_fe_values(mesh, field.v, pts_b), _fe_values(mesh, field.w, pts_b),
           _fe_gradients(mesh, field.v)[:, None, :], _fe_gradients(mesh, field.w)[:, None, :])
     e_l2_v, e_l2_w, e_h1_v, e_h1_w = (math.sqrt(_norm2(x_e - x_h, mesh, wts) / norm)
@@ -143,7 +127,10 @@ def boundary_trace(field: SolutionField, mesh: Mesh) -> BoundaryTrace:
     """w at the cavity nodes along the cavity loop, with their polar angles."""
     loop = mesh.cavity_loop
     pts = mesh.nodes[loop]
-    return BoundaryTrace(np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi), field.w[loop])
+    # Re w and Im w: the last two of the field's text columns
+    w_text = tuple([column[i] for i in loop.tolist()] for column in field.value_text[6:])
+    return BoundaryTrace(np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi), field.w[loop],
+                         w_text)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +173,11 @@ class PointLocator:
         return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
     def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(element ids, barycentric coords) per point; raises if outside."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        """(element ids, barycentric coords) of points (..., 2), shaped (...)
+        and (..., 3); raises if one is outside."""
+        pts = np.asarray(points, dtype=float)
+        shape = pts.shape[:-1]
+        pts = pts.reshape(-1, 2)
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
         remaining = np.arange(len(pts))
@@ -231,31 +221,35 @@ class PointLocator:
         if np.any(tri < 0):
             bad = pts[tri < 0]
             raise PostprocError(f"{len(bad)} points outside the mesh, first: {bad[:3].tolist()}")
-        return tri, bary
+        return tri.reshape(shape), bary.reshape(shape + (3,))
 
 
-def fe_evaluator(field: SolutionField, mesh: Mesh):
-    """Exact-evaluator interface backed by an FE field (reference solutions).
+def fe_interpolant(field: SolutionField, mesh: Mesh):
+    """The field step of an FE-reference evaluator: (v, w, grad_v, grad_w) of
+    ``field`` at points given by their elements and barycentric coordinates,
+    as ``PointLocator.locate`` returns them.
 
     Gradients are the element-wise constant FE gradients.
     """
-    locator = PointLocator(mesh)
     v_nodal, w_nodal = field.v, field.w
     gv = _fe_gradients(mesh, v_nodal)
     gw = _fe_gradients(mesh, w_nodal)
 
-    def evaluate(points: np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, 2)
-        tri, bary = locator.locate(flat)
-        conn = mesh.triangles[tri]
-        v = np.einsum("pb,pb->p", bary, v_nodal[conn])
-        w = np.einsum("pb,pb->p", bary, w_nodal[conn])
-        shape = pts.shape[:-1]
-        return (v.reshape(shape), w.reshape(shape),
-                gv[tri].reshape(shape + (2,)), gw[tri].reshape(shape + (2,)))
+    def interpolate(tri: np.ndarray, bary: np.ndarray):
+        conn = mesh.triangles[tri.ravel()]
+        flat = bary.reshape(-1, 3)
+        v = np.einsum("pb,pb->p", flat, v_nodal[conn])
+        w = np.einsum("pb,pb->p", flat, w_nodal[conn])
+        return v.reshape(tri.shape), w.reshape(tri.shape), gv[tri], gw[tri]
 
-    return evaluate
+    return interpolate
+
+
+def fe_evaluator(field: SolutionField, mesh: Mesh):
+    """Exact-evaluator interface backed by an FE field (reference solutions):
+    the points are located in ``mesh``, then ``fe_interpolant`` reads the field."""
+    locate, interpolate = PointLocator(mesh).locate, fe_interpolant(field, mesh)
+    return lambda points: interpolate(*locate(points))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +287,9 @@ def read_field_csv(text: str, mesh: Mesh) -> SolutionField:
 
 
 def trace_csv(trace: BoundaryTrace) -> str:
-    w = trace.w
     # Python's abs(complex), not np.abs: the two can differ in the last digit
     return "param,Re_w,Im_w,abs_w\n" + format_rows(
-        trace.params.tolist(), w.real.tolist(), w.imag.tolist(), map(abs, w.tolist()))
+        trace.params.tolist(), *trace.w_text, map(abs, trace.w.tolist()))
 
 
 def error_csv(reports: list[ErrorReport]) -> str:

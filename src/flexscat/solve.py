@@ -40,6 +40,20 @@ to recover digits lost to pivoting and conditioning.  The gate is a finite
 solution whose normwise backward error on the original complex A is at
 most RESIDUAL_BOUND; an attempt that raises or misses it falls to the next.
 
+Threads and factors (scipy 1.17.1).  scipy records SuperLU's allocations
+per thread, so a factor dropped on another thread than the one that made
+it is never freed: 5 factors of a 1,014-dof system made on a worker and
+dropped on the main thread held 5.8 MB more, dropped on the worker none.
+So every factor is made and dropped inside one solve_system call, on the
+caller's thread (cli's convergence study solves its levels on a worker,
+beside the reference), and _both's second thread only solves with it.
+Factoring A's p and q halves on two threads with the cavity unknowns last
+(ROADMAP item 2) is blocked by SuperLU.L and SuperLU.U: they build CSC
+copies of the factors and keep them for the factor's lifetime.  Reading
+both halves' trailing blocks held 28 MB more on the 13,520-dof kite
+reference (solve-loop peak 158-165 MB, against 126 MB whole), for a
+factorization of 0.128-0.152 s on two threads against 0.152-0.194 s whole.
+
 REAL_MIN_DOFS is the measured break-even of attempt 1 against attempt 2:
 the real attempt pays for Z's r solves, which a small factorization does
 not repay.  It was set with all r columns and one block solve for Z, where

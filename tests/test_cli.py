@@ -1,13 +1,19 @@
 """Command-line driver: artifacts, exit codes, and run plumbing."""
 
 import contextlib
+import ctypes
+import dataclasses
+import gc
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +25,10 @@ import flexscat
 from flexscat import cli, dtn, postproc
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
-from flexscat.geometry import Circle, import_mesh
-from flexscat.assembly import Method
+from flexscat.geometry import Circle, Ellipse, Kite, generate_mesh_for_h, import_mesh, refine
+from flexscat.assembly import Method, assemble_all
 from flexscat.postproc import ErrorReport
+from flexscat.solve import SolverError
 from conftest import count_threads
 
 
@@ -263,6 +270,124 @@ def test_converge_uses_reference_oracle(tmp_path, monkeypatch):
     assert run(["sweep", "--param", "gamma", "--values", "0.001,0.01", "--h", "0.3",
                 "--oracle", f"reference:{ref}", "--out", str(tmp_path / "c")]) == 0
     assert loaded == [ref, ref]
+
+
+# Self-referenced studies (kite BP as in the benchmark, and series on an
+# ellipse, which falls back to a reference); the levels run on a worker.
+SELF_REFERENCED = {
+    "kite-bp": ScatterConfig(shape=Kite(0.3, 0.2, 0.1), h_target=0.8, oracle="none",
+                             method=Method.boundary_penalty(2.5e-3 * math.pi)),
+    "ellipse-ip": ScatterConfig(shape=Ellipse(0.4, 0.2), h_target=0.4, oracle="series",
+                                method=Method.interior_penalty(1e-3 * math.pi)),
+}
+KITE_STUDY = ["converge", "--shape", "kite:0.3,0.2,0.1", "--method", "bp:0.00785",
+              "--oracle", "none", "--levels", "3", "--h", "0.8"]
+
+
+def serial_study(cfg, levels):
+    """The reports of a self-referenced study composed in turn on one thread."""
+    meshes = [generate_mesh_for_h(cfg.shape, cfg.R, cfg.h_target)]
+    for _ in range(levels - 1):
+        meshes.append(refine(meshes[-1]))
+    ref_mesh = refine(refine(meshes[-1]))
+    ref_cfg = dataclasses.replace(cfg, method=Method.interior_penalty(cfg.kappa * 1e-3))
+    ref_field, _ = cli.solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh),
+                                  *cli.tbc_and_load(ref_cfg, ref_mesh))
+    exact = postproc.fe_evaluator(ref_field, ref_mesh)
+    reports = []
+    for mesh in meshes:
+        field, _ = cli.solve_once(cfg, mesh, assemble_all(mesh), *cli.tbc_and_load(cfg, mesh))
+        reports.append(postproc.compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
+                                               cfg.method, cfg.kappa, cfg.N))
+    return reports
+
+
+@pytest.mark.parametrize("study", SELF_REFERENCED)
+def test_self_referenced_study_equals_the_serial_composition(tmp_path, monkeypatch, study):
+    cfg = SELF_REFERENCED[study]
+    solved = []
+    original = cli.solve_system
+    monkeypatch.setattr(cli, "solve_system", lambda system: solved.append(
+        (len(system.F), threading.current_thread())) or original(system))
+    reports, _ = run_convergence(cfg, 3, tmp_path)
+    # the reference solves on this thread, every level on one other
+    (*levels, (_, ref_thread)) = sorted(solved, key=lambda s: s[0])
+    assert ref_thread is threading.main_thread()
+    assert len(levels) == 3 and len({t for _, t in levels} - {ref_thread}) == 1
+    monkeypatch.undo()
+    assert reports == serial_study(cfg, 3)
+
+
+@pytest.mark.parametrize("failure", ["solver", "warning"])
+def test_a_level_failing_on_the_worker_exits_2_with_its_message(tmp_path, monkeypatch,
+                                                                  capsys, failure):
+    original = cli.solve_system
+    dropped = []
+
+    class Factor:  # stands in for a level's SuperLU factor, a local of solve_system
+        def __del__(self):
+            dropped.append(threading.current_thread())
+
+    def solve_system(system):
+        if threading.current_thread() is not threading.main_thread():
+            factor = Factor()  # noqa: F841
+            if failure == "solver":
+                raise SolverError("relative residual 1.000e+00 exceeds 1e-10")
+            np.exp(np.float64(1000.0))  # raises only under main's warnings filter
+        return original(system)
+
+    monkeypatch.setattr(cli, "solve_system", solve_system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # not the test suite's filter
+        assert main([*KITE_STUDY, "--out", str(tmp_path)]) == 2
+    message = {"solver": "relative residual 1.000e+00 exceeds 1e-10",
+               "warning": "overflow encountered in exp"}[failure]
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (tmp_path / "convergence.csv").exists()
+    # dropped on the worker, though the failure's traceback reached this thread
+    assert len(dropped) == 1 and dropped[0] is not threading.main_thread()
+
+
+def test_a_failing_reference_is_reported_before_a_failing_level(tmp_path, monkeypatch,
+                                                                capsys):
+    level_failed = threading.Event()
+
+    def solve_system(system):
+        if threading.current_thread() is threading.main_thread():
+            assert level_failed.wait(timeout=60)
+            raise SolverError("reference failed")
+        level_failed.set()
+        raise SolverError("level failed")
+
+    monkeypatch.setattr(cli, "solve_system", solve_system)
+    assert main([*KITE_STUDY, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "numerical failure: reference failed\n"
+
+
+def test_repeated_self_referenced_studies_hold_no_more_memory(tmp_path):
+    """scipy frees a SuperLU factor's memory only on the thread that made it.
+    One level factor dropped on the main thread per study would hold about
+    2 MB more after each one here, 12 MB over the six measured."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    statm = Path("/proc/self/statm")
+    if trim is None or not statm.exists():
+        pytest.skip("needs glibc's malloc_trim and /proc/self/statm")
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+
+    def rss_mb():
+        gc.collect()
+        trim(0)  # free heap pages go back to the system: RSS counts what is held
+        return int(statm.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+    cfg = SELF_REFERENCED["kite-bp"]
+    for k in range(2):  # warm-up: imports, caches and the worker's heap arena
+        run_convergence(cfg, 3, tmp_path / f"w{k}")
+    before = rss_mb()
+    after = []
+    for k in range(6):
+        run_convergence(cfg, 3, tmp_path / str(k))
+        after.append(rss_mb())
+    assert after[-1] - before < 6.0, (before, after)
 
 
 def test_sweep_samples_the_oracle_once(tmp_path, monkeypatch):

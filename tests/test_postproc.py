@@ -9,7 +9,7 @@ import pytest
 from flexscat import Method, SeriesSolution
 from flexscat.geometry import (Circle, Kite, Mesh, export_mesh, generate_mesh,
                                generate_mesh_for_h, import_mesh)
-from flexscat.postproc import (BoundaryTrace, ErrorReport, PointLocator,
+from flexscat.postproc import (DEG4, BoundaryTrace, ErrorReport, PointLocator,
                                PostprocError, boundary_trace, compute_errors,
                                error_csv, exact_samples, fe_evaluator, field_csv,
                                read_field_csv, trace_csv, vtk_field)
@@ -41,12 +41,33 @@ def test_error_report_fields(coarse_regular_solution, coarse_circle_mesh):
         assert 0 < e < 1.5
 
 
+# Dunavant degree-7 (13 points, one negative weight), as (barycentric points,
+# weights): a quadrature-refinement check on the library's degree-4 rule.
+_DEG7_PTS = np.array(
+    [[1 / 3, 1 / 3, 1 / 3]]
+    + [[0.479308067841923, 0.260345966079038, 0.260345966079038][i:] +
+       [0.479308067841923, 0.260345966079038, 0.260345966079038][:i] for i in range(3)]
+    + [[0.869739794195568, 0.065130102902216, 0.065130102902216][i:] +
+       [0.869739794195568, 0.065130102902216, 0.065130102902216][:i] for i in range(3)]
+    + [[0.638444188569809, 0.312865496004875, 0.048690315425316],
+       [0.048690315425316, 0.638444188569809, 0.312865496004875],
+       [0.312865496004875, 0.048690315425316, 0.638444188569809],
+       [0.638444188569809, 0.048690315425316, 0.312865496004875],
+       [0.312865496004875, 0.638444188569809, 0.048690315425316],
+       [0.048690315425316, 0.312865496004875, 0.638444188569809]])
+_DEG7_WTS = np.array([-0.149570044467670]
+                     + [0.175615257433204] * 3
+                     + [0.053347235608839] * 3
+                     + [0.077113760890257] * 6)
+
+
 def test_quadrature_rules_agree(coarse_regular_solution, coarse_circle_mesh):
     field, _ = coarse_regular_solution
     sol = SeriesSolution.build(KAPPA, RHAT, math.pi / 3, 25)
     r4, r7 = (compute_errors(field, coarse_circle_mesh,
                              exact_samples(coarse_circle_mesh, sol.evaluator(), rule),
-                             Method.regular(), KAPPA, 15) for rule in ("deg4", "deg7"))
+                             Method.regular(), KAPPA, 15)
+              for rule in (DEG4, (_DEG7_PTS, _DEG7_WTS)))
     assert r4.e_l2_v == pytest.approx(r7.e_l2_v, rel=2e-2)
     assert r4.e_h1_v == pytest.approx(r7.e_h1_v, rel=2e-2)
 
@@ -162,7 +183,8 @@ def test_boundary_trace_ordering(coarse_regular_solution, coarse_circle_mesh):
 
 def test_total_variation_definition():
     tr = BoundaryTrace(np.array([0.0, 1.0, 2.0]),
-                       np.array([1.0, -1.0, 0.5], dtype=complex))
+                       np.array([1.0, -1.0, 0.5], dtype=complex),
+                       (["1.0", "-1.0", "0.5"], ["0.0"] * 3))
     # |(-1) - 1| + |0.5 - (-1)| + |1 - 0.5| = 4.0 cyclically
     assert tr.total_variation == pytest.approx(4.0)
 
