@@ -49,6 +49,14 @@ CAVITY_SAMPLES = 4096
 # Core runs
 # ---------------------------------------------------------------------------
 
+def _read_text(path) -> str:
+    """A file's UTF-8 text; one that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not a UTF-8 text file") from None
+
+
 def build_config_mesh(config: ScatterConfig) -> Mesh:
     """The generated mesh, or the --mesh file if it has the configured R and cavity.
 
@@ -57,7 +65,7 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     """
     if config.mesh_path is None:
         return generate_mesh_for_h(config.shape, config.R, config.h_target)
-    mesh = import_mesh(Path(config.mesh_path).read_text())
+    mesh = import_mesh(_read_text(config.mesh_path))
     if abs(mesh.truncation_radius - config.R) > 1e-9 * config.R:
         raise ConfigError(f"mesh {config.mesh_path} ends at radius "
                           f"{mesh.truncation_radius!r}, not R = {config.R!r}")
@@ -105,8 +113,9 @@ def oracle_evaluator(config: ScatterConfig):
 
 def load_reference(run_dir: Path, config: ScatterConfig):
     """Evaluator backed by a previous run of the same kappa, alpha, R and shape."""
+    text = _read_text(run_dir / "metadata.json")
     try:
-        ref = ScatterConfig.from_dict(json.loads((run_dir / "metadata.json").read_text())["config"])
+        ref = ScatterConfig.from_dict(json.loads(text)["config"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"no run config in {run_dir / 'metadata.json'}") from None
     for name in ("kappa", "alpha", "R", "shape"):
@@ -114,9 +123,9 @@ def load_reference(run_dir: Path, config: ScatterConfig):
             raise ConfigError(f"reference run {run_dir} has another {name}: {getattr(ref, name)}")
     path = run_dir / "mesh.txt"
     try:
-        mesh = import_mesh(path.read_text())
+        mesh = import_mesh(_read_text(path))
         path = run_dir / "field.csv"
-        field = postproc.read_field_csv(path.read_text(), mesh)
+        field = postproc.read_field_csv(_read_text(path), mesh)
     except (MeshError, PostprocError) as exc:
         raise ConfigError(f"reference {path}: {exc}") from None
     return fe_evaluator(field, mesh)
@@ -347,7 +356,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ScatterConfig:
-    base = (ScatterConfig.from_json(Path(args.config).read_text())
+    base = (ScatterConfig.from_json(_read_text(args.config))
             if args.config else ScatterConfig())
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScatterConfig)
              if getattr(args, f.name) is not None}

@@ -2,18 +2,14 @@
 
 A is complex symmetric, so sparse LU (SuperLU through scipy) first runs in
 symmetric mode: minimum degree on A + A^T with diagonal pivots, about half
-the fill of COLAMD.  The p and q halves meet only in the shared cavity
-unknowns P_D, A's last n_cavity columns, which minimum degree alone would
-eliminate early, joining the halves' fill.  For IP systems, where that
-costs most (nnz(L+U) 3.28M against 2.65M on a 13,520-dof kite), the
-symmetric attempt factors a copy of A that also stores explicit zeros for
-every pair of cavity unknowns; that orders them last, as a constrained
-minimum degree (CAMD) would, and leaves A's values unchanged.
+the fill of COLAMD.  Every attempt factors A's own arrays, Re A's copy of
+them, or their gather under a kept ordering; where the cavity unknowns go
+in that ordering is set by A's pattern (the assembly module docstring).
 Minimum degree reads A's pattern alone, so the permutation of an attempt
 that passes is kept with A's SystemPattern, whose arrays every A of that
 mesh and method kind holds.  The next such A (a sweep's next value) is
 factored pre-permuted, P A P^T with the NATURAL ordering in symmetric
-mode: the same attempt without the ordering work or the clique copy.
+mode: the same attempt without the ordering work.
 
 Only the Helmholtz DtN symbol h_n is complex: K, M, the penalties and the
 modified-Helmholtz block T_q are real.  So A = A_r + i U diag(s) U^T
@@ -158,24 +154,6 @@ class SolutionField:
         return [list(map(repr, column)) for column in values.T.tolist()]
 
 
-def _cavity_last(A: sp.csc_matrix, n_cavity: int) -> sp.csc_matrix:
-    """A copy of A that also stores an explicit zero for every pair of its
-    last n_cavity unknowns; only those columns are rebuilt."""
-    n = A.shape[1]
-    first = n - n_cavity
-    tail = A[:, first:].tocoo()
-    tail = sp.csc_matrix(
-        (np.concatenate([tail.data, np.zeros(n_cavity**2, A.dtype)]),
-         (np.concatenate([tail.row, np.tile(np.arange(first, n), n_cavity)]),
-          np.concatenate([tail.col, np.repeat(np.arange(n_cavity), n_cavity)]))),
-        shape=(n, n_cavity))  # summing duplicates adds 0.0 to A's own entries
-    head = A.indptr[first]
-    return sp.csc_matrix((np.concatenate([A.data[:head], tail.data]),
-                          np.concatenate([A.indices[:head], tail.indices]),
-                          np.concatenate([A.indptr[:first], head + tail.indptr])),
-                         shape=A.shape)
-
-
 class _Ordering:
     """A passing symmetric attempt's permutation of its SystemPattern;
     unknown i is row and column perm[i] of P A P^T."""
@@ -254,15 +232,11 @@ class _Woodbury:
         return y - (self.z @ t.real + 1j * (self.z @ t.imag))
 
 
-def _factor(system: BlockSystem, matrix: sp.csc_matrix, settings: dict, pattern):
+def _factor(matrix: sp.csc_matrix, settings: dict, pattern):
     """splu of A or Re A (`matrix`, with A's pattern) under `settings`; the
     symmetric settings take the pattern's kept ordering if there is one."""
-    if settings == SYMMETRIC:
-        if pattern is not None and pattern.ordering is not None:
-            return pattern.ordering.factor(pattern, matrix.data)
-        if system.method.kind == "ip":
-            # the cavity clique pays only where the KJ stencil carries the fill
-            matrix = _cavity_last(matrix, system.dof_map.n_cavity)
+    if settings == SYMMETRIC and pattern is not None and pattern.ordering is not None:
+        return pattern.ordering.factor(pattern, matrix.data)
     return splu(matrix, **settings)
 
 
@@ -301,11 +275,11 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
             if in_real:
                 A_r = sp.csc_matrix((system.A.data.real.copy(), A.indices, A.indptr),
                                     shape=A.shape)
-                factors = _factor(system, A_r, settings, pattern)
+                factors = _factor(A_r, settings, pattern)
                 del A_r  # the factors hold their own copy
                 lu = _Woodbury(factors, system)
             else:
-                lu = factors = _factor(system, A, settings, pattern)
+                lu = factors = _factor(A, settings, pattern)
             w = lu.solve(system.F)
             if not np.all(np.isfinite(w)):
                 failure = "solver produced non-finite entries (singular system)"

@@ -331,6 +331,11 @@ def triple_product_system(mesh, scalars, tbc, kappa, method):
     return 0.5 * (A + A.T).tocsr()
 
 
+def csr_keys(m):
+    """row * n_cols + col of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)) * m.shape[1] + m.indices
+
+
 @pytest.mark.parametrize("shape, h, method", [
     (Circle(0.3), 0.1, Method.interior_penalty(KAPPA * 1e-3)),
     (Circle(0.3), 0.1, Method.regular()),
@@ -338,16 +343,28 @@ def triple_product_system(mesh, scalars, tbc, kappa, method):
 ], ids=["circle-ip", "circle-regular", "kite-bp"])
 def test_global_system_equals_triple_product(shape, h, method):
     # relabelling the entries sums at most two terms per entry, so it must
-    # reproduce the sparse triple product bit for bit, pattern included
+    # reproduce the sparse triple product bit for bit.  The pattern is the
+    # product's, plus for IP alone a zero for every other pair of cavity
+    # unknowns (the clique that orders them last)
     mesh = generate_mesh_for_h(shape, R, h)
     scalars = assemble_all(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, math.pi / 3)
     A = build_system(mesh, scalars, tbc, load, KAPPA, method).A
     ref = triple_product_system(mesh, scalars, tbc, KAPPA, method)
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
-    assert A.data.tobytes() == ref.data.tobytes()
+    if method.kind != "ip":
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert A.data.tobytes() == ref.data.tobytes()
+        return
+    size = ref.shape[0]
+    d = np.arange(size - build_dof_map(mesh).n_cavity, size)
+    keys, ref_keys = csr_keys(A), csr_keys(ref)
+    assert np.array_equal(keys, np.union1d(ref_keys, (d[:, None] * size + d).ravel()))
+    assert len(keys) > len(ref_keys)
+    at = np.searchsorted(keys, ref_keys)
+    assert A.data[at].tobytes() == ref.data.tobytes()
+    assert np.all(np.delete(A.data, at) == 0)
 
 
 def test_exact_cancellation_is_stored_as_a_zero_of_the_pattern(coarse_circle_mesh):

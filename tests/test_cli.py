@@ -32,6 +32,10 @@ from flexscat.solve import SolverError
 from conftest import count_threads
 
 
+#: bytes that are not UTF-8: an input file that is not text
+BINARY = b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x00"
+
+
 def run(args):
     return main(list(args))
 
@@ -157,6 +161,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         configs[-1].write_text(json.dumps(bad))
     a_file = tmp_path / "file"
     a_file.write_text("")
+    binary = tmp_path / "binary"
+    binary.write_bytes(BINARY)
     sweep = ["sweep", "--param", "gamma", "--h", "0.2", "--out", str(tmp_path / "s")]
     assert run(["mesh", "--h", "0.2", "--R", "0.5", "--out", str(tmp_path / "r05")]) == 0
     for radius in ("0.4", "0.25"):
@@ -174,6 +180,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         # OS errors on the config, the mesh and the output paths
         ["solve", "--config", str(tmp_path)],
         ["solve", "--mesh", str(tmp_path), "--out", str(tmp_path / "m")],
+        # config and mesh files that are not UTF-8 text
+        ["solve", "--config", str(binary), "--out", str(tmp_path / "m")],
+        ["solve", "--mesh", str(binary), "--out", str(tmp_path / "m")],
         # an imported mesh that ends at R = 0.5, not at the configured 0.6
         ["solve", "--mesh", str(tmp_path / "r05" / "mesh.txt"), "--oracle", "none",
          "--out", str(tmp_path / "m")],
@@ -199,6 +208,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        assert str(binary) in err or str(binary) not in argv, (argv, err)
     assert run(["solve", "--help"]) == 0
     assert not (tmp_path / "a").exists() and not (tmp_path / "s").exists()
 
@@ -209,17 +219,22 @@ def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch, cap
     assert run(["solve", "--h", "0.2", "--oracle", "none", "--out", str(ref)]) == 0
     field = (ref / "field.csv").read_text()
     row = field.splitlines()[1]
-    damaged = {  # a row missing a column, a value that is not a number, no content
-        "field.csv": [field.replace(row, row[:row.rindex(",")]),
-                      field.replace(row, row[:row.rindex(",")] + ",x"), ""],
-        "mesh.txt": ["nodes 3\n"],
+    damaged = {  # a row missing a column, a value that is not a number, no content,
+        # and bytes that are not UTF-8
+        "field.csv": [field.replace(row, row[:row.rindex(",")]).encode(),
+                      field.replace(row, row[:row.rindex(",")] + ",x").encode(), b"", BINARY],
+        "mesh.txt": [b"nodes 3\n", BINARY],
+        "metadata.json": [BINARY],
     }
     broken_refs = []
+    named = {}  # the file that a reference's error must name, by its run dir
     for name, texts in damaged.items():
         for text in texts:
             broken_refs.append(tmp_path / f"broken{len(broken_refs)}")
             shutil.copytree(ref, broken_refs[-1])
-            (broken_refs[-1] / name).write_text(text)
+            (broken_refs[-1] / name).write_bytes(text)
+            if text == BINARY:
+                named[f"reference:{broken_refs[-1]}"] = broken_refs[-1] / name
     solves = []
     original = cli.solve_system
     monkeypatch.setattr(cli, "solve_system",
@@ -248,6 +263,7 @@ def test_sweep_without_oracle_rejected_before_solving(tmp_path, monkeypatch, cap
         assert not out.exists(), argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        assert str(named.get(argv[-1], "")) in err, (argv, err)
     assert solves == []
 
 

@@ -100,7 +100,7 @@ def test_iterative_refinement_reaches_backward_error_bound():
     from flexscat.assembly import BlockSystem, DofMap
 
     dof = DofMap(np.arange(n), np.arange(n), n // 2, 0, 0)
-    system = BlockSystem(A=a, F=f, dof_map=dof, method=Method.regular())
+    system = BlockSystem(A=a, F=f, dof_map=dof)
     w, residual = solve_system(system)
     assert residual <= RESIDUAL_BOUND
     assert np.allclose(w * diag, f)
@@ -153,9 +153,11 @@ def test_circle_solve_factors_once(coarse_circle_mesh, monkeypatch):
     assert field.residual <= RESIDUAL_BOUND
 
 
-def test_plain_attempt_factors_the_arrays_of_a(coarse_regular_solution, monkeypatch):
-    # A = A^T exactly, so its CSR arrays read as CSC are A: no copy is made
-    _, system = coarse_regular_solution
+def test_plain_attempt_factors_the_arrays_of_a(coarse_regular_solution, coarse_circle_mesh,
+                                               monkeypatch):
+    # A = A^T exactly, so its CSR arrays read as CSC are A: no copy is made,
+    # not even for IP, whose cavity clique is in A's own pattern
+    _, ip = solve_direct(coarse_circle_mesh, Method.interior_penalty(KAPPA * 1e-3))
     seen = []
     original = solve.splu
 
@@ -164,10 +166,12 @@ def test_plain_attempt_factors_the_arrays_of_a(coarse_regular_solution, monkeypa
         return original(a, **settings)
 
     monkeypatch.setattr(solve, "splu", splu)
-    solve_system(cold(system))
-    (a,) = seen
-    for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(a, name), getattr(system.A, name))
+    for system in (coarse_regular_solution[1], ip):
+        seen.clear()
+        solve_system(cold(system))
+        (a,) = seen
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(a, name), getattr(system.A, name))
 
 
 def test_ip_symmetric_attempt_orders_cavity_unknowns_last(medium_circle_mesh,
@@ -233,7 +237,7 @@ def test_real_attempt_factors_real_values(medium_circle_mesh, monkeypatch):
     ((settings, a, lu),) = seen
     assert settings == FACTORIZATIONS[0]
     assert a.dtype == lu.L.dtype == lu.U.dtype == np.float64
-    assert (a != system.A.real).nnz == 0  # Re A (with the cavity clique's zeros)
+    assert (a != system.A.real).nnz == 0  # Re A
     assert residual <= RESIDUAL_BOUND
 
 
@@ -319,10 +323,12 @@ def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypa
     assert len(corrected) == len(values) * real
     monkeypatch.undo()
     mesh = solved[0][0].pattern.mesh
+    method = {"gamma": Method.interior_penalty, "eta": Method.boundary_penalty,
+              "kappa": lambda kappa: config.method}[param]
     for value, (system, (w, residual)) in zip(values, solved):
         cfg = dataclasses.replace(config, kappa=value) if param == "kappa" else config
         tbc, load = cli.tbc_and_load(cfg, mesh)
-        fresh = build_system(mesh, assemble_all(mesh), tbc, load, cfg.kappa, system.method)
+        fresh = build_system(mesh, assemble_all(mesh), tbc, load, cfg.kappa, method(value))
         for name in ("indptr", "indices", "data"):
             assert getattr(system.A, name).tobytes() == getattr(fresh.A, name).tobytes()
         w_fresh, _ = solve_system(fresh)
