@@ -26,8 +26,8 @@ from .assembly import AssemblyError, Method, assemble_all, build_system
 from .config import (ConfigError, ScatterConfig, method_from_text,
                      shape_from_text, shape_to_dict)
 from .dtn import IncidentField, assemble_tbc, incident_load
-from .geometry import (Circle, Mesh, MeshError, cavity_point, export_mesh,
-                       generate_mesh_for_h, import_mesh, refine)
+from .geometry import (MAX_ANGULAR, Circle, Mesh, MeshError, cavity_min_gap, cavity_point,
+                       export_mesh, generate_mesh_for_h, import_mesh, refine)
 from .postproc import (ErrorReport, PostprocError, boundary_trace, compute_errors,
                        fe_evaluator, fe_interpolant)
 from .series import RADIAL_SLACK, CavityPointError, SeriesSolution
@@ -90,11 +90,18 @@ def tbc_and_load(config: ScatterConfig, mesh: Mesh):
 
 
 def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc, load):
-    """Solve one configuration on a mesh with its scalar matrices, TBC and load."""
+    """The field of one configuration on a mesh with its scalar matrices, TBC and load."""
     system = build_system(mesh, scalars, tbc, load, config.kappa, config.method)
     w_vec, residual = solve_system(system)
     incident = IncidentField(config.kappa, config.alpha)
-    return recover_fields(w_vec, system, mesh, incident, residual), system
+    return recover_fields(w_vec, system, mesh, incident, residual)
+
+
+def series_solution(config: ScatterConfig) -> SeriesSolution:
+    """The series oracle of the configured circular cavity."""
+    if not isinstance(config.shape, Circle):
+        raise ConfigError("the series oracle applies only to circular cavities")
+    return SeriesSolution.build(config.kappa, config.shape.radius, config.alpha, ORACLE_MODES)
 
 
 def oracle_evaluator(config: ScatterConfig):
@@ -102,11 +109,7 @@ def oracle_evaluator(config: ScatterConfig):
     if config.oracle == "none":
         return None
     if config.oracle == "series":
-        if not isinstance(config.shape, Circle):
-            raise ConfigError("the series oracle applies only to circular cavities")
-        sol = SeriesSolution.build(config.kappa, config.shape.radius,
-                                   config.alpha, ORACLE_MODES)
-        return sol.evaluator()
+        return series_solution(config).evaluator()
     # the config admits only "reference:<run dir>" beyond these two
     return load_reference(Path(config.oracle.split(":", 1)[1]), config)
 
@@ -136,7 +139,7 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     exact = oracle_evaluator(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = build_config_mesh(config)
-    field, system = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
+    field = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
 
     (out_dir / "mesh.txt").write_text(export_mesh(mesh))
     (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
@@ -195,7 +198,7 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
             if parameter == "kappa":
                 tbc, load = tbc_and_load(cfg, mesh)
                 samples = postproc.exact_samples(mesh, oracle_evaluator(cfg))
-            field, _ = solve_once(cfg, mesh, scalars, tbc, load)
+            field = solve_once(cfg, mesh, scalars, tbc, load)
             reports.append(compute_errors(field, mesh, samples, cfg.method,
                                           cfg.kappa, cfg.N))
         except (SolverError, AssemblyError, MeshError, OverflowError,
@@ -232,7 +235,7 @@ def _levels_beside_reference(config: ScatterConfig, meshes: list[Mesh], ref_mesh
     """
     try:
         locate = postproc.PointLocator(ref_mesh).locate
-        return [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))[0],
+        return [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh)),
                  locate(postproc.quad_points(mesh)))
                 for mesh in meshes]
     except Exception as exc:
@@ -260,9 +263,16 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
     self_reference = config.oracle == "none" or (
         config.oracle == "series" and not isinstance(config.shape, Circle))
     exact = None if self_reference else oracle_evaluator(config)
+    meshes = [generate_mesh_for_h(config.shape, config.R, config.h_target)]
+    # each refinement doubles n_angular: the finest mesh (and the reference
+    # beyond it) must stay within the bound of the h-driven search
+    n_angular = meshes[0].generator.n_angular
+    refines = levels - 1 + REFERENCE_EXTRA_REFINES * self_reference
+    if refines > (MAX_ANGULAR // n_angular).bit_length() - 1:
+        raise MeshError(f"cannot refine {refines} times from n_angular = {n_angular} "
+                        f"with n_angular <= {MAX_ANGULAR}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    meshes = [generate_mesh_for_h(config.shape, config.R, config.h_target)]
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
 
@@ -286,7 +296,7 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
         solved = [(field, postproc.samples_from_values(mesh, interpolate(*sites)))
                   for mesh, (field, sites) in zip(meshes, beside.result())]
     else:
-        solved = [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))[0],
+        solved = [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh)),
                    postproc.exact_samples(mesh, exact))
                   for mesh in meshes]
     reports = [compute_errors(field, mesh, samples, config.method, config.kappa, config.N)
@@ -301,16 +311,13 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
 def run_analytic(config: ScatterConfig, n_radial: int, n_angular: int,
                  out_dir: Path) -> None:
     """Dump the series-oracle fields on a polar grid."""
-    if not isinstance(config.shape, Circle):
-        raise ConfigError("analytic dump applies only to circular cavities")
+    sol = series_solution(config)
+    cavity_min_gap(config.shape, config.R)  # raises unless the cavity lies inside R
     out_dir.mkdir(parents=True, exist_ok=True)
-    sol = SeriesSolution.build(config.kappa, config.shape.radius, config.alpha,
-                               ORACLE_MODES)
     r = np.linspace(config.shape.radius, config.R, n_radial)
     th = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
     rr, tt = np.meshgrid(r, th, indexing="ij")
-    out = sol.eval_polar(rr.ravel(), tt.ravel())
-    v, w = out["v"], out["w"]
+    v, w, _, _ = sol.eval_polar(rr.ravel(), tt.ravel())
     (out_dir / "analytic.csv").write_text("r,theta,Re_v,Im_v,Re_w,Im_w\n" + format_rows(
         rr.ravel().tolist(), tt.ravel().tolist(),
         v.real.tolist(), v.imag.tolist(), w.real.tolist(), w.imag.tolist()))
@@ -321,18 +328,14 @@ def run_analytic(config: ScatterConfig, n_radial: int, n_angular: int,
 # Argument handling
 # ---------------------------------------------------------------------------
 
-def _parse_shape(text: str):
-    try:
-        return shape_from_text(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_method(text: str):
-    try:
-        return method_from_text(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _spec_type(from_text):
+    """An argparse type of a spec's command-line form; a ConfigError is a usage error."""
+    def parse(text: str):
+        try:
+            return from_text(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -349,8 +352,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--R", type=float, dest="R")
     p.add_argument("--N", type=int, dest="N")
     p.add_argument("--h", type=float, dest="h_target")
-    p.add_argument("--shape", type=_parse_shape)
-    p.add_argument("--method", type=_parse_method)
+    p.add_argument("--shape", type=_spec_type(shape_from_text))
+    p.add_argument("--method", type=_spec_type(method_from_text))
     p.add_argument("--mesh", dest="mesh_path", help="import mesh from file")
     p.add_argument("--oracle", help="series | none | reference:<run dir>")
 
@@ -443,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # SuperLU's has no text
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except CavityPointError as exc:
         print(f"numerical failure: mesh too coarse for the series oracle ({exc})",
               file=sys.stderr)

@@ -32,6 +32,8 @@ METHODS = {"regular": (), "ip": ("gamma",), "bp": ("eta",)}
 
 
 def _finite(name: str, value) -> float:
+    if isinstance(value, bool):  # float(True) is 1.0, but JSON true is no number
+        raise ConfigError(f"{name} must be a number")
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):

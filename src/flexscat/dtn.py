@@ -72,13 +72,12 @@ class TbcMatrix:
         The hats are real, so c_{-n} = conj(c_n), and h_{-n} = h_n: the +n
         and -n terms add to 2 Im(coeff_n) (a a^T + b b^T), where a and b are
         the real and imaginary parts of c_n; the real c_0 enters once.
-        Modes whose Im(coeff_n) is below roundoff of the largest are left
-        out.  U is (N_T, r) and real, with r <= 2 N + 1.
+        Every mode n >= 0 enters: U is (N_T, 2 N + 1) and real, and the
+        Woodbury solve cuts the columns of negligible weight.
         """
-        weight = self.coeff_p.imag
-        keep = (self.mode_orders >= 0) & (weight > np.finfo(float).eps * weight.max())
+        keep = self.mode_orders >= 0
         pair = self.mode_orders[keep] > 0
-        vectors, weight = self.mode_vectors[keep], weight[keep]
+        vectors, weight = self.mode_vectors[keep], self.coeff_p.imag[keep]
         u = np.concatenate([vectors.real, vectors[pair].imag]).T
         s = np.concatenate([np.where(pair, 2.0, 1.0) * weight, 2.0 * weight[pair]])
         return u, s

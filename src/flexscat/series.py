@@ -129,10 +129,8 @@ class SeriesSolution:
             yield hv, hd, kv, kd
 
     def eval_polar(self, r: np.ndarray, theta: np.ndarray):
-        """Fields and Cartesian gradients at polar points.
-
-        Returns dict with v, w (complex, shape like r) and grad_v, grad_w
-        (..., 2).
+        """Fields and Cartesian gradients at polar points: (v, w, grad_v,
+        grad_w), v and w complex and shaped like r, the gradients (..., 2).
         """
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -170,12 +168,8 @@ class SeriesSolution:
         grad_v = gradient(dr_m + dr_h, dt_m + dt_h)
         grad_w = gradient(dr_m - dr_h, dt_m - dt_h)
         shape = r.shape
-        return {
-            "v": (vm + vh).reshape(shape),
-            "w": (vm - vh).reshape(shape),
-            "grad_v": grad_v.reshape(shape + (2,)),
-            "grad_w": grad_w.reshape(shape + (2,)),
-        }
+        return ((vm + vh).reshape(shape), (vm - vh).reshape(shape),
+                grad_v.reshape(shape + (2,)), grad_w.reshape(shape + (2,)))
 
     def evaluator(self):
         """Callable(points_xy) -> (v, w, grad_v, grad_w) for error norms."""
@@ -183,14 +177,12 @@ class SeriesSolution:
         def evaluate(points: np.ndarray):
             pts = np.asarray(points, dtype=float)
             r = np.hypot(pts[..., 0], pts[..., 1])
-            theta = np.arctan2(pts[..., 1], pts[..., 0])
-            out = self.eval_polar(r, theta)
-            return out["v"], out["w"], out["grad_v"], out["grad_w"]
+            return self.eval_polar(r, np.arctan2(pts[..., 1], pts[..., 0]))
 
         return evaluate
 
     def coefficients_csv(self) -> str:
-        """Per-mode coefficient dump (debugging aid)."""
+        """Per-mode coefficients as CSV text: analytic's modes.csv artifact."""
         h, m = self.coeff_h, self.coeff_m
         return "n,Re_vH,Im_vH,Re_vM,Im_vM\n" + format_rows(
             range(-self.n_modes, self.n_modes + 1),

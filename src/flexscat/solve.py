@@ -14,14 +14,14 @@ mode: the same attempt without the ordering work.
 Only the Helmholtz DtN symbol h_n is complex: K, M, the penalties and the
 modified-Helmholtz block T_q are real.  So A = A_r + i U diag(s) U^T
 exactly, with A_r = Re A and the real rank-r term -Im T_p on the P_T block
-(TbcMatrix.p_imag_factors: r <= 2N + 1, and Im h_n = 2/(pi |H_n|^2) decays
+(TbcMatrix.p_imag_factors: r = 2N + 1, and Im h_n = 2/(pi |H_n|^2) decays
 fast in n).  The attempts, in order:
 
 1. real (systems of at least REAL_MIN_DOFS unknowns): the symmetric attempt
    above on A_r, in real arithmetic, whose factors' values take 8 bytes
    per entry, not 16.  A x = b is then solved by the Woodbury identity
    (Hager, SIAM Review 31, 1989) on the columns of U of weight at least
-   KEEP_WEIGHT = sqrt(eps) of the largest (17 of 25 at kappa R = 0.6 pi,
+   KEEP_WEIGHT = sqrt(eps) of the largest (17 of 31 at kappa R = 0.6 pi,
    N = 15): Z = A_r^-1 U once, an r x r complex capacitance matrix, and per
    right-hand side one real solve each for Re b and Im b plus the rank-r
    correction.  The first refinement sweep squares the columns left out
@@ -232,14 +232,6 @@ class _Woodbury:
         return y - (self.z @ t.real + 1j * (self.z @ t.imag))
 
 
-def _factor(matrix: sp.csc_matrix, settings: dict, pattern):
-    """splu of A or Re A (`matrix`, with A's pattern) under `settings`; the
-    symmetric settings take the pattern's kept ordering if there is one."""
-    if settings == SYMMETRIC and pattern is not None and pattern.ordering is not None:
-        return pattern.ordering.factor(pattern, matrix.data)
-    return splu(matrix, **settings)
-
-
 def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
     """Solve A W = F; returns (W, relative residual).
 
@@ -251,36 +243,32 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
     passes: each factorization fails, or its solution is non-finite or has a
     relative residual above RESIDUAL_BOUND.
     """
-    # A = A^T exactly, so A's own arrays read as CSC are A: no copy
-    A = system.A.T
-    f_norm = np.linalg.norm(system.F)
-    a_norm = np.bincount(system.A.indices, weights=np.abs(system.A.data),
+    A, F = system.A, system.F
+    f_norm = np.linalg.norm(F)
+    a_norm = np.bincount(A.indices, weights=np.abs(A.data),
                          minlength=A.shape[1]).max()  # induced 1-norm, no abs(A) copy
-
-    def rel_residual(x: np.ndarray) -> float:
-        # normwise backward error; stays meaningful when grading drives the
-        # matrix norm far above the load norm
-        r = np.linalg.norm(system.A @ x - system.F)
-        denom = a_norm * np.linalg.norm(x) + f_norm
-        return float(r / denom) if denom > 0 else float(r)
-
     pattern = system.pattern  # its kept ordering serves a system holding its own arrays
-    if pattern is not None and not (system.A.indices is pattern.indices
-                                    and system.A.indptr is pattern.indptr):
+    if pattern is not None and not (A.indices is pattern.indices and A.indptr is pattern.indptr):
         pattern = None
+
+    def factor(values: np.ndarray, settings: dict):
+        """splu under `settings` of the matrix with A's pattern and these values
+        (A's own or Re A's); the symmetric settings take the kept ordering."""
+        if settings == SYMMETRIC and pattern is not None and pattern.ordering is not None:
+            return pattern.ordering.factor(pattern, values)
+        # A = A^T exactly, so its CSR arrays read as CSC are A: no copy
+        return splu(sp.csc_matrix((values, A.indices, A.indptr), shape=A.shape), **settings)
+
     real = system.tbc is not None and system.dof_map.size >= REAL_MIN_DOFS
     attempts = [(True, SYMMETRIC)] * real + [(False, s) for s in FACTORIZATIONS]
     for in_real, settings in attempts:
         try:
-            if in_real:
-                A_r = sp.csc_matrix((system.A.data.real.copy(), A.indices, A.indptr),
-                                    shape=A.shape)
-                factors = _factor(A_r, settings, pattern)
-                del A_r  # the factors hold their own copy
+            if in_real:  # the factors hold their own copy of Re A's values
+                factors = factor(A.data.real.copy(), settings)
                 lu = _Woodbury(factors, system)
             else:
-                lu = factors = _factor(A, settings, pattern)
-            w = lu.solve(system.F)
+                lu = factors = factor(A.data, settings)
+            w = lu.solve(F)
             if not np.all(np.isfinite(w)):
                 failure = "solver produced non-finite entries (singular system)"
                 continue
@@ -288,10 +276,16 @@ def solve_system(system: BlockSystem) -> tuple[np.ndarray, float]:
             # always runs: diagonal pivots can lose digits of w (6e-9 relative
             # on an ellipse) while the backward error stays far inside the gate,
             # and it absorbs the Woodbury columns left out.  The second recovers
-            # digits lost to ill-conditioning on graded meshes.
+            # digits lost to ill-conditioning on graded meshes.  Each residual
+            # serves the gate and the next sweep's correction.
+            r = F - A @ w
             for _ in range(2):
-                w = w + lu.solve(system.F - system.A @ w)
-                residual = rel_residual(w)
+                w = w + lu.solve(r)
+                r = F - A @ w
+                # normwise backward error; stays meaningful when grading drives
+                # the matrix norm far above the load norm
+                denom = a_norm * np.linalg.norm(w) + f_norm
+                residual = float(np.linalg.norm(r) / (denom if denom > 0 else 1.0))
                 if residual <= RESIDUAL_BOUND:
                     break
         except (RuntimeError, np.linalg.LinAlgError) as exc:

@@ -451,4 +451,5 @@ def test_imaginary_part_is_low_rank_on_the_p_truncation_block(coarse_circle_mesh
     assert not imag.any()
     u, s = tbc.p_imag_factors()
     assert u.dtype == np.float64 and u.shape == (len(p_t), len(s)) and len(s) <= 31
+    assert u.shape[1] == 2 * 15 + 1  # every mode n >= 0, however light
     assert np.abs((u * s) @ u.T + block).max() <= 1e-15 * np.abs(block).max()

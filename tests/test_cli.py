@@ -156,7 +156,10 @@ def test_config_file_and_flag_overrides(tmp_path):
 def test_usage_errors_exit_1(tmp_path, capsys):
     configs = []
     for k, bad in enumerate(({"kappa": "x"}, {"kappa": None}, {"N": 2.7},
-                             {"oracle": None})):
+                             {"oracle": None},
+                             {"kappa": True, "N": False, "h_target": 0.2},
+                             {"shape": {"kind": "circle", "radius": True}},
+                             {"method": {"kind": "bp", "eta": True}})):
         configs.append(tmp_path / f"bad{k}.json")
         configs[-1].write_text(json.dumps(bad))
     a_file = tmp_path / "file"
@@ -307,12 +310,12 @@ def serial_study(cfg, levels):
         meshes.append(refine(meshes[-1]))
     ref_mesh = refine(refine(meshes[-1]))
     ref_cfg = dataclasses.replace(cfg, method=Method.interior_penalty(cfg.kappa * 1e-3))
-    ref_field, _ = cli.solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh),
-                                  *cli.tbc_and_load(ref_cfg, ref_mesh))
+    ref_field = cli.solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh),
+                               *cli.tbc_and_load(ref_cfg, ref_mesh))
     exact = postproc.fe_evaluator(ref_field, ref_mesh)
     reports = []
     for mesh in meshes:
-        field, _ = cli.solve_once(cfg, mesh, assemble_all(mesh), *cli.tbc_and_load(cfg, mesh))
+        field = cli.solve_once(cfg, mesh, assemble_all(mesh), *cli.tbc_and_load(cfg, mesh))
         reports.append(postproc.compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
                                                cfg.method, cfg.kappa, cfg.N))
     return reports
@@ -499,6 +502,14 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "points outside the mesh" in err
     assert len(err.strip().splitlines()) == 1
+    # a cavity outside or on the circle of radius R = 0.6: analytic builds no
+    # mesh, but checks as solve does, before it creates --out
+    for k, radius in enumerate(("0.7", "0.6")):
+        assert run(["analytic", "--shape", f"circle:{radius}",
+                    "--out", str(tmp_path / f"a{k}")]) == 2
+        assert capsys.readouterr().err == (f"numerical failure: cavity extends to radius "
+                                           f"{radius}, not strictly inside R = 0.6\n")
+        assert not (tmp_path / f"a{k}").exists()
     # a mesh file with a coordinate that is not finite
     lines = (ref / "mesh.txt").read_text().splitlines()
     lines[1] = lines[1].replace(lines[1].split()[1], "nan")
@@ -507,6 +518,58 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "n")]) == 2
     assert capsys.readouterr().err == (
         "numerical failure: line 2: node coordinates must be finite\n")
+
+
+class _Refined(Exception):
+    pass
+
+
+@pytest.mark.parametrize("oracle, levels, fits", [
+    ("series", 9, True), ("series", 10, False),
+    ("none", 7, True), ("none", 8, False), ("none", 14, False),
+])
+def test_converge_levels_are_bounded_before_refining(tmp_path, monkeypatch, capsys,
+                                                     oracle, levels, fits):
+    # h = 0.2 starts at an n_angular that 8 doublings keep within MAX_ANGULAR;
+    # a self-referenced study's reference takes REFERENCE_EXTRA_REFINES more
+    n_angular = generate_mesh_for_h(Circle(0.3), 0.6, 0.2).generator.n_angular
+    assert n_angular * 2**8 <= cli.MAX_ANGULAR < n_angular * 2**9
+
+    def refine(mesh):
+        raise _Refined
+
+    monkeypatch.setattr(cli, "refine", refine)
+    argv = ["converge", "--h", "0.2", "--oracle", oracle, "--levels", str(levels),
+            "--out", str(tmp_path / "c")]
+    if fits:
+        with pytest.raises(_Refined):
+            run(argv)
+        return
+    assert run(argv) == 2
+    refines = levels - 1 + cli.REFERENCE_EXTRA_REFINES * (oracle == "none")
+    assert capsys.readouterr().err == (
+        f"numerical failure: cannot refine {refines} times from n_angular = {n_angular} "
+        f"with n_angular <= {cli.MAX_ANGULAR}\n")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv, allocates, text", [
+    (["sweep", "--param", "gamma", "--logspace", "1e-4", "1e-1", "1e12"], "logspace",
+     "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+     "and data type float64"),
+    (["analytic", "--nr", "200000", "--ntheta", "200000"], "meshgrid", ""),
+], ids=["sweep-values", "analytic-grid"])
+def test_refused_allocation_is_a_numerical_failure(tmp_path, monkeypatch, capsys,
+                                                   argv, allocates, text):
+    # whether the allocator refuses these sizes at once depends on the host's
+    # overcommit policy, so the allocating call refuses here; SuperLU's
+    # MemoryError has no text
+    def refuse(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(np, allocates, refuse)
+    assert run([*argv, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {text or 'out of memory'}\n"
 
 
 def test_out_of_range_inputs_fail_in_one_line(tmp_path, capsys):

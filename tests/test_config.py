@@ -60,7 +60,11 @@ def test_bad_values_rejected():
         ScatterConfig.from_dict({"method": {"kind": "ip"}})
     for bad in ({"kappa": "x"}, {"kappa": None}, {"N": 2.7}, {"oracle": "bogus"},
                 {"oracle": None}, {"out_dir": None}, {"shape": "circle:0.3"},
-                {"shape": {"kind": "circle", "radius": 0.3, "a": 1.0}}):
+                {"shape": {"kind": "circle", "radius": 0.3, "a": 1.0}},
+                # JSON booleans are no numbers, although float(True) is 1.0
+                {"kappa": True}, {"N": False}, {"h_target": True},
+                {"shape": {"kind": "circle", "radius": True}},
+                {"method": {"kind": "ip", "gamma": True}}):
         with pytest.raises(ConfigError):
             ScatterConfig.from_dict(bad)
     with pytest.raises(ConfigError):

@@ -118,6 +118,27 @@ def test_backward_error_takes_the_one_norm_of_a(method):
     assert abs(residual - expected) <= 1e-15 * expected
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["plain", "real"])
+def test_both_sweeps_take_three_products_of_a(coarse_regular_solution, monkeypatch, real):
+    # one residual per sweep serves its gate and the next sweep's correction:
+    # the first solution's, then one after each of the two sweeps
+    _, system = coarse_regular_solution
+    products = []
+    original = sp.csr_matrix.__matmul__
+
+    def matmul(a, b):
+        products.append(a is system.A)
+        return original(a, b)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", matmul)
+    monkeypatch.setattr(solve, "RESIDUAL_BOUND", 0.0)  # no sweep passes the gate
+    monkeypatch.setattr(solve, "REAL_MIN_DOFS", 0 if real else math.inf)
+    monkeypatch.setattr(solve, "FACTORIZATIONS", () if real else FACTORIZATIONS[:1])
+    with pytest.raises(SolverError, match="exceeds 0.0"):
+        solve_system(cold(system))
+    assert products == [True] * 3
+
+
 class _WrongFactors:
     def __init__(self, value):
         self.value = value
