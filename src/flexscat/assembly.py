@@ -11,7 +11,7 @@ Scalar matrices live on all mesh nodes:
 
 The coupled system couples a Helmholtz field p and a modified-Helmholtz
 field q that share one unknown per cavity-boundary node.  Unknown ordering
-is (P_I, Q_I, P_T, Q_T, P_D); within each block, mesh node order.  With P
+is (P_I, Q_I, P_T, Q_T, P_D); I in node order, T and D in ring order.  With P
 the 0/1 relabelling from unknowns to the nodal pair (p, q), on whose D rows
 p and q read the same column,
 
@@ -174,7 +174,7 @@ def assemble_boundary_penalty(mesh: Mesh) -> sp.csr_matrix:
     local matrix for linear elements.
     """
     n = mesh.n_nodes
-    a = mesh.cavity_loop
+    a = mesh.d_nodes
     b = np.roll(a, -1)
     rows = np.stack([a, a, b, b], axis=1).ravel()
     cols = np.stack([a, b, a, b], axis=1).ravel()
@@ -333,7 +333,7 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
     Parameters
     ----------
     tbc : TbcMatrix
-        Dense transparent-boundary blocks over the T nodes (mesh order).
+        Dense transparent-boundary blocks over the T nodes (ring order).
     load_t : complex vector over T nodes
         Incident-field load; lands on the p-field T rows.
     """

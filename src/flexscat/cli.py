@@ -57,14 +57,18 @@ def _read_text(path) -> str:
         raise ConfigError(f"{path} is not a UTF-8 text file") from None
 
 
-def build_config_mesh(config: ScatterConfig) -> Mesh:
+def build_config_mesh(config: ScatterConfig, out_dir: Path) -> Mesh:
     """The generated mesh, or the --mesh file if it has the configured R and cavity.
 
     Cavities are star-shaped: each D node's radius must match the cavity's at
-    its polar angle to within RADIAL_SLACK, relative.
+    its polar angle to within RADIAL_SLACK, relative.  ``out_dir`` is created
+    once the mesh is built, before any import warning is printed: a mesh that
+    fails leaves no directory, and a directory that fails is the one line.
     """
     if config.mesh_path is None:
-        return generate_mesh_for_h(config.shape, config.R, config.h_target)
+        mesh = generate_mesh_for_h(config.shape, config.R, config.h_target)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return mesh
     mesh = import_mesh(_read_text(config.mesh_path))
     if abs(mesh.truncation_radius - config.R) > 1e-9 * config.R:
         raise ConfigError(f"mesh {config.mesh_path} ends at radius "
@@ -78,6 +82,7 @@ def build_config_mesh(config: ScatterConfig) -> Mesh:
     if miss[k] > RADIAL_SLACK:
         raise ConfigError(f"mesh {config.mesh_path} has a cavity node at ({x[k]:.6g}, {y[k]:.6g}), "
                           f"{miss[k]:.1%} off the radius of the configured cavity {config.shape}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     for note in mesh.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return mesh
@@ -137,8 +142,7 @@ def load_reference(run_dir: Path, config: ScatterConfig):
 def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     """Single solve; writes mesh, field, trace, metadata, optional errors."""
     exact = oracle_evaluator(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mesh = build_config_mesh(config)
+    mesh = build_config_mesh(config, out_dir)
     field = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
 
     (out_dir / "mesh.txt").write_text(export_mesh(mesh))
@@ -177,8 +181,7 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     if parameter == "kappa" and config.oracle != "series":
         raise ConfigError("a kappa sweep needs the series oracle (a reference has one kappa)")
     exact = oracle_evaluator(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mesh = build_config_mesh(config)
+    mesh = build_config_mesh(config, out_dir)
     scalars = assemble_all(mesh)
     # only the series oracle, the TBC and the load depend on a swept parameter (kappa)
     if parameter != "kappa":
@@ -427,8 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if args.command == "mesh":
-                out_dir.mkdir(parents=True, exist_ok=True)
-                mesh = build_config_mesh(cfg)
+                mesh = build_config_mesh(cfg, out_dir)
                 (out_dir / "mesh.txt").write_text(export_mesh(mesh))
                 meta = {"h": mesh.h, "dofs": mesh.n_dofs,
                         "nodes": mesh.n_nodes, "triangles": mesh.n_triangles,

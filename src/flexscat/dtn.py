@@ -50,10 +50,14 @@ class IncidentField:
     def gradient(self, points: np.ndarray) -> np.ndarray:
         return (1j * self.kappa * self.direction) * self(points)[..., None]
 
+    def mode_phase(self, n: int | np.ndarray) -> complex | np.ndarray:
+        """i^n e^{-i n alpha}: the wave is sum_n mode_phase(n) J_n(kappa r) e^{i n theta}."""
+        return np.array([1, 1j, -1, -1j])[np.asarray(n) % 4] * np.exp(-1j * n * self.alpha)
+
 
 @dataclass
 class TbcMatrix:
-    """Assembled DtN blocks over the T nodes (mesh node order).
+    """Assembled DtN blocks over the T nodes (ring order, Mesh.t_nodes).
 
     Each block sums coeff_n * outer(c_n, conj(c_n)) over mode_orders, c_n
     the mode_vectors rows; coeff_p holds the p block's h_n / 2 pi.  The q
@@ -110,21 +114,15 @@ def hat_fourier(angles: np.ndarray, n: int | np.ndarray) -> np.ndarray:
 
 
 def assemble_tbc(mesh: Mesh, kappa: float, R: float, N: int) -> TbcMatrix:
-    """Dense DtN blocks sum over modes |n| <= N, T nodes in mesh order."""
+    """Dense DtN blocks sum over modes |n| <= N, T nodes in ring order."""
     if N < 0:
         raise ValueError("truncation order N must be >= 0")
-    t_nodes = mesh.t_nodes
-    if len(t_nodes) < 3:
-        raise ValueError("mesh needs at least 3 T nodes")
-    angles = mesh.t_angles()
-    order = np.argsort(angles)
-    inv = np.argsort(order)
-
     z = kappa * R
     orders = np.arange(-N, N + 1)
     coeff_p = dtn_symbol_h(orders, z) / (2.0 * math.pi)
     coeff_q = dtn_symbol_k(orders, z) / (2.0 * math.pi)
-    vectors = hat_fourier(angles[order], orders)[:, inv]
+    # the products round by memory layout: Fortran order fixes their last bits
+    vectors = np.asfortranarray(hat_fourier(mesh.polar_angles(mesh.t_nodes), orders))
     p_block = (vectors.T * coeff_p) @ vectors.conj()
     # coeff_q is real: Re(c_n conj(c_n)^T) = a a^T + b b^T in one real product
     parts = np.concatenate([vectors.real, vectors.imag])
@@ -141,13 +139,13 @@ def incident_mode_coeff(n: int | np.ndarray, kappa: float, R: float,
     """Fourier coefficient G_n of g1 = d_r u_inc - T1 u_inc on Gamma_R."""
     z = kappa * R
     j = bessel_j(n, z)
-    phase = np.array([1, 1j, -1, -1j])[np.asarray(n) % 4] * np.exp(-1j * n * alpha)
+    phase = IncidentField(kappa, alpha).mode_phase(n)
     return phase * (kappa * j.derivative - dtn_symbol_h(n, z) * j.value / R)
 
 
 def incident_load(tbc: TbcMatrix, kappa: float, R: float,
                   alpha: float) -> np.ndarray:
-    """Load vector F_j = -<g1, beta_j>_Gamma_R over T nodes (mesh order).
+    """Load vector F_j = -<g1, beta_j>_Gamma_R over T nodes (ring order).
 
     Pairs the incident coefficients with the hat-Fourier rows of ``tbc``,
     so the modes and the T nodes are those the DtN blocks were built on.

@@ -158,12 +158,13 @@ class Mesh:
     node_class : (N,) array of 'I' | 'T' | 'D'
     interior_edges : (E, 2) int node pairs, with edge_tris (E, 2) the two
         adjacent element indices and edge_lengths (E,)
-    cavity_loop, truncation_loop : node ids ordered counter-clockwise
-        around each boundary, starting at the smallest polar angle
+    t_nodes, d_nodes : truncation and cavity ring node ids in ring order:
+        counter-clockwise from the smallest polar angle, which is ascending
+        id on a generated mesh.  All ring data follow this order.
     warnings : notes from import (e.g. auto-fixed orientation)
 
     areas and grads are the one source of element geometry.  They and the
-    other derived arrays (node class lists, h) are cached on first use,
+    other derived arrays (interior nodes, h) are cached on first use,
     which assumes the mesh is never mutated after construction.
     """
 
@@ -173,8 +174,8 @@ class Mesh:
     interior_edges: np.ndarray = field(init=False, repr=False)
     edge_tris: np.ndarray = field(init=False, repr=False)
     edge_lengths: np.ndarray = field(init=False, repr=False)
-    cavity_loop: np.ndarray = field(init=False, repr=False)
-    truncation_loop: np.ndarray = field(init=False, repr=False)
+    t_nodes: np.ndarray = field(init=False, repr=False)
+    d_nodes: np.ndarray = field(init=False, repr=False)
     generator: _Generator | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -198,14 +199,6 @@ class Mesh:
     def interior_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.node_class == "I")
 
-    @cached_property
-    def t_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.node_class == "T")
-
-    @cached_property
-    def d_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.node_class == "D")
-
     @property
     def n_dofs(self) -> int:
         """Unknown-vector dimension 2 N_I + 2 N_T + N_D."""
@@ -217,9 +210,9 @@ class Mesh:
         """Mesh size: the maximum edge length over all triangle edges."""
         return _longest_side(self.nodes[self.triangles])
 
-    def t_angles(self) -> np.ndarray:
-        """Polar angles of the T nodes (mesh node order), in [0, 2 pi)."""
-        pts = self.nodes[self.t_nodes]
+    def polar_angles(self, ids) -> np.ndarray:
+        """Polar angles of the nodes ``ids`` (a ring, say), in [0, 2 pi)."""
+        pts = self.nodes[ids]
         return np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
 
     @cached_property
@@ -295,8 +288,8 @@ class Mesh:
         trc = boundary[np.all(cls == "T", axis=1)]
         if len(cav) + len(trc) != len(boundary):
             raise MeshError("boundary edge with mixed or interior node classes")
-        self.cavity_loop = self._order_loop(cav, "cavity")
-        self.truncation_loop = self._order_loop(trc, "truncation")
+        self.d_nodes = self._order_loop(cav, "cavity")
+        self.t_nodes = self._order_loop(trc, "truncation")
 
     def _order_loop(self, edges: np.ndarray, name: str) -> np.ndarray:
         if not len(edges):
@@ -326,8 +319,7 @@ class Mesh:
                        - np.roll(pts[:, 0], -1) * pts[:, 1])
         if area2 < 0:
             loop = loop[::-1]
-        ang = np.arctan2(self.nodes[loop, 1], self.nodes[loop, 0]) % (2 * math.pi)
-        k = int(np.argmin(ang))
+        k = int(np.argmin(self.polar_angles(loop)))
         return np.array(loop[k:] + loop[:k], dtype=np.int64)
 
     def _validate(self):
@@ -338,8 +330,8 @@ class Mesh:
         if not np.isin(self.node_class, ("I", "T", "D")).all():
             raise MeshError("unknown node class")
         off_loop = self.node_class != "I"
-        off_loop[self.cavity_loop] = False
-        off_loop[self.truncation_loop] = False
+        off_loop[self.d_nodes] = False
+        off_loop[self.t_nodes] = False
         if np.any(off_loop):
             v = int(np.flatnonzero(off_loop)[0])
             raise MeshError(f"node {v} classed as boundary but not on a boundary loop")

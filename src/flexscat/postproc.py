@@ -124,13 +124,11 @@ def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
 
 
 def boundary_trace(field: SolutionField, mesh: Mesh) -> BoundaryTrace:
-    """w at the cavity nodes along the cavity loop, with their polar angles."""
-    loop = mesh.cavity_loop
-    pts = mesh.nodes[loop]
+    """w at the cavity nodes in ring order, with their polar angles."""
+    ring = mesh.d_nodes
     # Re w and Im w: the last two of the field's text columns
-    w_text = tuple([column[i] for i in loop.tolist()] for column in field.value_text[6:])
-    return BoundaryTrace(np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi), field.w[loop],
-                         w_text)
+    w_text = tuple([column[i] for i in ring.tolist()] for column in field.value_text[6:])
+    return BoundaryTrace(mesh.polar_angles(ring), field.w[ring], w_text)
 
 
 # ---------------------------------------------------------------------------

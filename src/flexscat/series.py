@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .dtn import IncidentField
 from .specfun import bessel_j, dtn_symbol_h, dtn_symbol_k
 from .table import format_rows
 
@@ -57,7 +58,7 @@ def boundary_data_coeffs(n: int | np.ndarray, kappa: float, r_cavity: float,
         raise ValueError("kappa and cavity radius must be positive")
     z = kappa * r_cavity
     j = bessel_j(n, z)
-    phase = np.array([1, 1j, -1, -1j])[np.asarray(n) % 4] * np.exp(-1j * n * alpha)
+    phase = IncidentField(kappa, alpha).mode_phase(n)
     return -phase * j.value, -kappa * phase * j.derivative
 
 

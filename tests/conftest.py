@@ -3,12 +3,13 @@
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from flexscat import (Circle, IncidentField, Method, assemble_all,
                       assemble_tbc, build_system, generate_mesh,
-                      generate_mesh_for_h, incident_load, recover_fields,
-                      solve_system)
+                      generate_mesh_for_h, import_mesh, incident_load,
+                      recover_fields, solve_system)
 from flexscat.series import _mode_ratios
 
 KAPPA = math.pi
@@ -28,6 +29,24 @@ def solve_direct(mesh, method, kappa=KAPPA, alpha=ALPHA, radius=R, n=N_TRUNC):
     field = recover_fields(w_vec, system, mesh, IncidentField(kappa, alpha),
                            residual)
     return field, system
+
+
+def shuffled_import(mesh, seed):
+    """The mesh exported with shuffled node and triangle ids, then imported,
+    and each old node's index in it."""
+    rng = np.random.default_rng(seed)
+    node_id = rng.permutation(mesh.n_nodes) + 1
+    tri_id = rng.permutation(mesh.n_triangles) + 1
+    text = "\n".join(
+        [f"nodes {mesh.n_nodes}"]
+        + [f"{k} {x!r} {y!r} {c}" for k, (x, y), c in
+           zip(node_id, mesh.nodes.tolist(), mesh.node_class)]
+        + [f"triangles {mesh.n_triangles}"]
+        + [f"{k} {a} {b} {c}" for k, (a, b, c) in zip(tri_id, node_id[mesh.triangles].tolist())])
+    back = import_mesh(text)
+    assert np.array_equal(back.nodes[node_id - 1], mesh.nodes)
+    assert np.array_equal(back.triangles[tri_id - 1], node_id[mesh.triangles] - 1)
+    return back, node_id - 1
 
 
 def count_threads(monkeypatch):

@@ -225,7 +225,7 @@ def test_criterion_7_structural_properties(coarse_circle_mesh, sweep_mesh):
     # closed-form Fourier hat integrals against per-segment Gauss quadrature
     from test_dtn import quad_hat_fourier
 
-    angles = np.sort(mesh.t_angles())
+    angles = np.sort(mesh.polar_angles(mesh.t_nodes))
     for n in (0, 1, -4, 9, 15):
         got = hat_fourier(angles, n)
         ref = quad_hat_fourier(angles, n)

@@ -450,6 +450,11 @@ def test_imported_mesh_warnings_reach_stderr(tmp_path, capsys):
                 "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == (
         f"warning: reoriented 1 clockwise triangle(s): {k}\n")
+    # an --out that cannot be created is reported alone, with no warning
+    assert run(["solve", "--mesh", str(flipped), "--oracle", "none",
+                "--out", str(flipped / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_runs_build_one_hat_fourier_matrix_per_tbc(tmp_path, monkeypatch):
@@ -518,6 +523,21 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "n")]) == 2
     assert capsys.readouterr().err == (
         "numerical failure: line 2: node coordinates must be finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--shape", "circle:0.7", "--oracle", "none"],
+    ["sweep", "--param", "gamma", "--values", "0.001", "--h", "1e-300"],
+    ["mesh", "--shape", "circle:0.7"],
+    ["solve", "--h", "1e-300", "--oracle", "none"],
+], ids=["solve-cavity", "sweep-h", "mesh-cavity", "solve-h"])
+def test_a_mesh_that_cannot_be_built_leaves_no_out(tmp_path, capsys, argv):
+    # the mesh is built before --out is created
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
 
 
 class _Refined(Exception):

@@ -7,8 +7,9 @@ import pytest
 
 from flexscat.dtn import (IncidentField, assemble_tbc, hat_fourier,
                           incident_load, incident_mode_coeff)
-from flexscat.geometry import Circle, generate_mesh
+from flexscat.geometry import Kite, generate_mesh_for_h
 from flexscat.specfun import dtn_symbol_h, dtn_symbol_k
+from conftest import shuffled_import
 
 KAPPA = math.pi
 R = 0.6
@@ -138,7 +139,7 @@ def test_incident_load_matches_direct_quadrature(coarse_circle_mesh):
     # closed-form mode coefficients.
     mesh = coarse_circle_mesh
     n_modes = 15
-    angles = mesh.t_angles()
+    angles = mesh.polar_angles(mesh.t_nodes)
     order = np.argsort(angles)
     inv = np.argsort(order)
     ref = np.zeros(len(angles), dtype=complex)
@@ -148,6 +149,20 @@ def test_incident_load_matches_direct_quadrature(coarse_circle_mesh):
     ref *= -R
     got = incident_load(assemble_tbc(mesh, KAPPA, R, n_modes), KAPPA, R, ALPHA)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_tbc_on_renumbered_mesh_follows_the_ring():
+    # imported node ids need not follow the ring; the T unknowns, the DtN
+    # blocks and the load follow it under any numbering
+    mesh = generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2)
+    back, new_id = shuffled_import(mesh, 11)
+    assert np.array_equal(back.t_nodes, new_id[mesh.t_nodes])
+    assert np.array_equal(back.d_nodes, new_id[mesh.d_nodes])
+    assert not np.array_equal(back.t_nodes, np.sort(back.t_nodes))
+    tbc, moved = (assemble_tbc(m, KAPPA, R, 15) for m in (mesh, back))
+    for a, b in ((tbc.p_block, moved.p_block), (tbc.q_block, moved.q_block),
+                 (incident_load(tbc, KAPPA, R, ALPHA), incident_load(moved, KAPPA, R, ALPHA))):
+        assert np.abs(b - a).max() <= 1e-14 * np.abs(a).max()
 
 
 def test_tbc_input_validation(coarse_circle_mesh):

@@ -10,6 +10,7 @@ from flexscat.geometry import (Circle, Ellipse, Kite, Mesh, MeshError,
                                cavity_min_gap, cavity_point, export_mesh,
                                generate_mesh, generate_mesh_for_h, import_mesh,
                                refine)
+from conftest import shuffled_import
 
 
 def test_cavity_point_parametrizations():
@@ -87,7 +88,7 @@ def test_mesh_area_approximates_annulus():
 
 def test_boundary_loops_ordered_counterclockwise():
     mesh = generate_mesh(Kite(0.3, 0.2, 0.1), 0.6, 4, 32)
-    for loop in (mesh.cavity_loop, mesh.truncation_loop):
+    for loop in (mesh.d_nodes, mesh.t_nodes):
         pts = mesh.nodes[loop]
         area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
                        - np.roll(pts[:, 0], -1) * pts[:, 1])
@@ -95,6 +96,18 @@ def test_boundary_loops_ordered_counterclockwise():
         ang = np.arctan2(pts[0, 1], pts[0, 0]) % (2 * math.pi)
         assert ang == pytest.approx(
             np.min(np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)))
+
+
+@pytest.mark.parametrize("shape", [Circle(0.3), Ellipse(0.4, 0.2), Kite(0.3, 0.2, 0.1)],
+                         ids=["circle", "ellipse", "kite"])
+def test_generated_rings_are_in_node_id_order(shape):
+    # ring order equals ascending node id on a generated mesh, so the T and D
+    # unknowns, and A, are those of numbering each class by node id
+    meshes = [generate_mesh_for_h(shape, 0.6, h) for h in (0.8, 0.2, 0.1)]
+    meshes.append(refine(meshes[-1]))
+    for mesh in meshes:
+        assert np.array_equal(mesh.t_nodes, np.flatnonzero(mesh.node_class == "T"))
+        assert np.array_equal(mesh.d_nodes, np.flatnonzero(mesh.node_class == "D"))
 
 
 def test_refine_halves_h():
@@ -168,27 +181,10 @@ def test_quad_split_matches_scalar_reference():
     assert np.array_equal(mesh.triangles, np.array(ref))
 
 
-def shuffled_import(mesh: Mesh, seed: int) -> Mesh:
-    """The mesh exported with shuffled node and triangle ids, then imported."""
-    rng = np.random.default_rng(seed)
-    node_id = rng.permutation(mesh.n_nodes) + 1
-    tri_id = rng.permutation(mesh.n_triangles) + 1
-    text = "\n".join(
-        [f"nodes {mesh.n_nodes}"]
-        + [f"{k} {x!r} {y!r} {c}" for k, (x, y), c in
-           zip(node_id, mesh.nodes.tolist(), mesh.node_class)]
-        + [f"triangles {mesh.n_triangles}"]
-        + [f"{k} {a} {b} {c}" for k, (a, b, c) in zip(tri_id, node_id[mesh.triangles].tolist())])
-    back = import_mesh(text)
-    assert np.array_equal(back.nodes[node_id - 1], mesh.nodes)
-    assert np.array_equal(back.triangles[tri_id - 1], node_id[mesh.triangles] - 1)
-    return back
-
-
 def test_topology_matches_edge_map_reference():
     # the second numbering does not come from the generator
     for mesh in (generate_mesh(Kite(0.3, 0.2, 0.1), 0.6, 3, 24),
-                 shuffled_import(generate_mesh(Ellipse(0.4, 0.2), 0.6, 3, 16), 7)):
+                 shuffled_import(generate_mesh(Ellipse(0.4, 0.2), 0.6, 3, 16), 7)[0]):
         edge_map = {}
         for k, tri in enumerate(mesh.triangles.tolist()):
             for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):

@@ -118,7 +118,7 @@ def test_locator_clamps_points_in_boundary_slivers(coarse_circle_mesh):
     # a point between a cavity chord and the exact circle lies outside the
     # polygonal mesh; it must be clamped onto the nearest element
     mesh = coarse_circle_mesh
-    loop = mesh.cavity_loop
+    loop = mesh.d_nodes
     a, b = mesh.nodes[loop[0]], mesh.nodes[loop[1]]
     mid_angle = 0.5 * (math.atan2(*a[::-1]) + math.atan2(*b[::-1]))
     pt = (RHAT * 0.9999) * np.array([math.cos(mid_angle), math.sin(mid_angle)])
@@ -150,7 +150,7 @@ def test_locator_fallback_matches_a_scan_of_every_element(mesh):
     # points in the slivers just outside the cavity and truncation chords lie
     # in no element: each takes the fallback, which scans only nearby elements
     pts = []
-    for loop, side in ((mesh.cavity_loop, -1.0), (mesh.truncation_loop, 1.0)):
+    for loop, side in ((mesh.d_nodes, -1.0), (mesh.t_nodes, 1.0)):
         a, b = mesh.nodes[loop], mesh.nodes[np.roll(loop, -1)]
         normal = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)
         normal /= np.linalg.norm(normal, axis=1, keepdims=True)

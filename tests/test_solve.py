@@ -12,7 +12,7 @@ from flexscat import (Circle, Ellipse, IncidentField, Kite, Method, ScatterConfi
                       assemble_all, build_system, cli, generate_mesh_for_h, solve)
 from flexscat.solve import (FACTORIZATIONS, KEEP_WEIGHT, PERMUTED, RESIDUAL_BOUND,
                             SolverError, recover_fields, solve_system)
-from conftest import ALPHA, KAPPA, R, RHAT, count_threads, solve_direct
+from conftest import ALPHA, KAPPA, R, RHAT, count_threads, shuffled_import, solve_direct
 
 
 def cold(system):
@@ -59,6 +59,19 @@ def test_recovered_field_identities(coarse_regular_solution, coarse_circle_mesh)
     assert np.allclose(field.w, field.p_scat + field.q)
     # clamped cavity: the total displacement q - p vanishes on the cavity nodes
     assert np.abs((field.q - field.p)[mesh.d_nodes]).max() == 0.0
+
+
+@pytest.mark.parametrize("method", [Method.regular(), Method.interior_penalty(KAPPA * 1e-3),
+                                    Method.boundary_penalty(2.5 * KAPPA * 1e-3)],
+                         ids=["regular", "ip", "bp"])
+def test_renumbered_mesh_solves_to_the_same_field(method):
+    # shuffled ids permute A symmetrically: the field moves only by rounding
+    mesh = generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2)
+    back, new_id = shuffled_import(mesh, 11)
+    field, _ = solve_direct(mesh, method)
+    moved, _ = solve_direct(back, method)
+    for a, b in ((field.p, moved.p[new_id]), (field.q, moved.q[new_id])):
+        assert np.abs(b - a).max() <= 1e-10 * np.abs(a).max()
 
 
 def test_penalties_change_the_solution(coarse_circle_mesh):
