@@ -7,8 +7,7 @@ circle, plus the analytic circular-cavity series used as an accuracy
 oracle.
 """
 
-from .assembly import (BlockSystem, Method, ScalarMatrices, assemble_all,
-                       build_system)
+from .assembly import BlockSystem, Method, ScalarMatrices, build_system
 from .config import ScatterConfig
 from .dtn import IncidentField, TbcMatrix, assemble_tbc, incident_load
 from .geometry import (CavityShape, Circle, Ellipse, Kite, Mesh, cavity_point,
@@ -22,7 +21,7 @@ from .specfun import (ValueWithDerivative, bessel_j, bessel_k, bessel_y,
                       dtn_symbol_h, dtn_symbol_k)
 
 __all__ = [
-    "BlockSystem", "Method", "ScalarMatrices", "assemble_all", "build_system",
+    "BlockSystem", "Method", "ScalarMatrices", "build_system",
     "ScatterConfig", "IncidentField", "TbcMatrix", "assemble_tbc",
     "incident_load", "CavityShape", "Circle", "Ellipse", "Kite", "Mesh",
     "cavity_point", "export_mesh", "generate_mesh", "generate_mesh_for_h",

@@ -1,6 +1,6 @@
 """Element matrices, penalty matrices, and the global coupled block system.
 
-Scalar matrices live on all mesh nodes:
+Scalar matrices live on all mesh nodes, each penalty built at its first read:
 
 * stiffness  Kbar[j,l] = int grad(phi_j) . grad(phi_l)
 * mass       Mbar[j,l] = int phi_j phi_l
@@ -53,7 +53,8 @@ which the sparse sums would drop, is stored as a zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,19 +117,24 @@ class Method:
 # Global scalar matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ScalarMatrices:
-    """Global real matrices over all mesh nodes (penalties unscaled).
+    """Global real matrices over all nodes of `mesh`, penalties unscaled:
+    Kbar and Mbar assembled at construction, each penalty at its first read.
+    Never mutated once built; `patterns` keeps, per method kind, the
+    SystemPattern that build_system derives from these matrices alone."""
 
-    Never mutated once assembled: `patterns` keeps, per method kind, the
-    SystemPattern that build_system derives from them.
-    """
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.kbar, self.mbar = assemble_scalar(mesh)
+        self.patterns: dict[str, SystemPattern] = {}
 
-    kbar: sp.csr_matrix
-    mbar: sp.csr_matrix
-    kbar_j: sp.csr_matrix
-    kg: sp.csr_matrix
-    patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    @cached_property
+    def kbar_j(self) -> sp.csr_matrix:
+        return assemble_interior_penalty(self.mesh)
+
+    @cached_property
+    def kg(self) -> sp.csr_matrix:
+        return assemble_boundary_penalty(self.mesh)
 
 
 def assemble_scalar(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -180,12 +186,6 @@ def assemble_boundary_penalty(mesh: Mesh) -> sp.csr_matrix:
     cols = np.stack([a, b, a, b], axis=1).ravel()
     vals = np.tile([1.0, -1.0, -1.0, 1.0], len(a))
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def assemble_all(mesh: Mesh) -> ScalarMatrices:
-    kbar, mbar = assemble_scalar(mesh)
-    return ScalarMatrices(kbar, mbar, assemble_interior_penalty(mesh),
-                          assemble_boundary_penalty(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +245,19 @@ def _merge(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat[new], np.split(at, np.cumsum([len(k) for k in keys[:-1]]))
 
 
-def _canonical(m, n: int) -> sp.csr_matrix:
-    """m as n x n CSR with sorted indices and no duplicates (on a copy if not)."""
-    m = sp.csr_matrix(m)  # shares a CSR matrix's arrays
-    if m.shape != (n, n):
-        raise AssemblyError(f"scalar matrix of shape {m.shape} on a mesh of {n} nodes")
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
-    return m
-
-
 class SystemPattern:
-    """A's structure for one method kind on one mesh's scalar matrices, built
+    """A's structure for one method kind on one ScalarMatrices, built
     at the kind's first build_system call and filled by every system of it.
     `ordering` is left to the solver, which keeps the fill-reducing
     permutation of A's pattern there."""
 
-    def __init__(self, mesh: Mesh, scalars: ScalarMatrices, kind: str):
-        self.mesh = mesh
+    def __init__(self, scalars: ScalarMatrices, kind: str):
+        mesh = scalars.mesh
         self.dof = dof = build_dof_map(mesh)
         self.ordering = None
         n, size = mesh.n_nodes, dof.size
-        self.mats = [_canonical(m, n) for m in [scalars.kbar, scalars.mbar] + {
-            "regular": [], "ip": [scalars.kbar_j], "bp": [scalars.kg]}[kind]]
+        self.mats = [getattr(scalars, name) for name in ["kbar", "mbar"] + {
+            "regular": [], "ip": ["kbar_j"], "bp": ["kg"]}[kind]]
         # B1 and B2 live on the node pairs of the kind's scalar matrices; maps
         # holds each matrix's positions among them (a copy, so the rest is
         # freed), or all of them for a matrix on every pair
@@ -337,9 +326,11 @@ def build_system(mesh: Mesh, scalars: ScalarMatrices, tbc, load_t: np.ndarray,
     load_t : complex vector over T nodes
         Incident-field load; lands on the p-field T rows.
     """
+    if mesh is not scalars.mesh:
+        raise AssemblyError("the scalar matrices were assembled on another mesh")
     pattern = scalars.patterns.get(method.kind)
-    if pattern is None or pattern.mesh is not mesh:
-        pattern = scalars.patterns[method.kind] = SystemPattern(mesh, scalars, method.kind)
+    if pattern is None:
+        pattern = scalars.patterns[method.kind] = SystemPattern(scalars, method.kind)
     dof = pattern.dof
     nt = dof.n_trunc
     if tbc.p_block.shape != (nt, nt) or len(load_t) != nt:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import postproc
-from .assembly import AssemblyError, Method, assemble_all, build_system
+from .assembly import AssemblyError, Method, ScalarMatrices, build_system
 from .config import (ConfigError, ScatterConfig, method_from_text,
                      shape_from_text, shape_to_dict)
 from .dtn import IncidentField, assemble_tbc, incident_load
@@ -88,6 +88,14 @@ def build_config_mesh(config: ScatterConfig, out_dir: Path) -> Mesh:
     return mesh
 
 
+def warn_low_dtn_order(config: ScatterConfig, kappa: float) -> None:
+    """One stderr warning when the DtN order N is below kappa R: the truncated
+    map then drops propagating modes (Harari & Hughes 1992)."""
+    if config.N < kappa * config.R:
+        print(f"warning: DtN order N = {config.N} is below kappa R = {kappa * config.R:.4g}; "
+              "the boundary condition drops propagating modes", file=sys.stderr)
+
+
 def tbc_and_load(config: ScatterConfig, mesh: Mesh):
     """DtN blocks of a mesh and the incident load paired with them."""
     tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
@@ -143,7 +151,8 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
     """Single solve; writes mesh, field, trace, metadata, optional errors."""
     exact = oracle_evaluator(config)
     mesh = build_config_mesh(config, out_dir)
-    field = solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh))
+    warn_low_dtn_order(config, config.kappa)
+    field = solve_once(config, mesh, ScalarMatrices(mesh), *tbc_and_load(config, mesh))
 
     (out_dir / "mesh.txt").write_text(export_mesh(mesh))
     (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
@@ -182,7 +191,8 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
         raise ConfigError("a kappa sweep needs the series oracle (a reference has one kappa)")
     exact = oracle_evaluator(config)
     mesh = build_config_mesh(config, out_dir)
-    scalars = assemble_all(mesh)
+    warn_low_dtn_order(config, max(values) if parameter == "kappa" else config.kappa)
+    scalars = ScalarMatrices(mesh)
     # only the series oracle, the TBC and the load depend on a swept parameter (kappa)
     if parameter != "kappa":
         samples = postproc.exact_samples(mesh, exact)
@@ -238,7 +248,7 @@ def _levels_beside_reference(config: ScatterConfig, meshes: list[Mesh], ref_mesh
     """
     try:
         locate = postproc.PointLocator(ref_mesh).locate
-        return [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh)),
+        return [(solve_once(config, mesh, ScalarMatrices(mesh), *tbc_and_load(config, mesh)),
                  locate(postproc.quad_points(mesh)))
                 for mesh in meshes]
     except Exception as exc:
@@ -275,6 +285,7 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
         raise MeshError(f"cannot refine {refines} times from n_angular = {n_angular} "
                         f"with n_angular <= {MAX_ANGULAR}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    warn_low_dtn_order(config, config.kappa)
 
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
@@ -285,7 +296,7 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
             ref_mesh = refine(ref_mesh)
         ref_cfg = dataclasses.replace(
             config, method=Method.interior_penalty(config.kappa * 1e-3))
-        ref_system = build_system(ref_mesh, assemble_all(ref_mesh),
+        ref_system = build_system(ref_mesh, ScalarMatrices(ref_mesh),
                                   *tbc_and_load(ref_cfg, ref_mesh), ref_cfg.kappa,
                                   ref_cfg.method)
         # the reference is factored, solved and dropped on this thread; leaving
@@ -299,7 +310,7 @@ def run_convergence(config: ScatterConfig, levels: int, out_dir: Path):
         solved = [(field, postproc.samples_from_values(mesh, interpolate(*sites)))
                   for mesh, (field, sites) in zip(meshes, beside.result())]
     else:
-        solved = [(solve_once(config, mesh, assemble_all(mesh), *tbc_and_load(config, mesh)),
+        solved = [(solve_once(config, mesh, ScalarMatrices(mesh), *tbc_and_load(config, mesh)),
                    postproc.exact_samples(mesh, exact))
                   for mesh in meshes]
     reports = [compute_errors(field, mesh, samples, config.method, config.kappa, config.N)

@@ -35,7 +35,7 @@ _CONTAINMENT_SAMPLES = 720
 #: Largest n_angular the h-driven search tries.
 MAX_ANGULAR = 8192
 
-#: Triangles with area below this are rejected as degenerate by Mesh.grads.
+#: A triangle's area must lie in (AREA_EPS, inf); a smaller one is degenerate.
 AREA_EPS = 1e-14
 
 
@@ -222,13 +222,7 @@ class Mesh:
 
     @cached_property
     def grads(self) -> np.ndarray:
-        """Barycentric gradients (M, 3, 2), constant per triangle.
-
-        Raises MeshError if a triangle's area is at most AREA_EPS.
-        """
-        bad = np.flatnonzero(self.areas <= AREA_EPS)
-        if len(bad):
-            raise MeshError(f"degenerate triangle, area = {self.areas[bad[0]]:.3e}")
+        """Barycentric gradients (M, 3, 2), constant per triangle."""
         v = self.nodes[self.triangles]
         # grad(lambda_i) is the opposite edge rotated by +90 degrees over twice the area
         edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
@@ -323,10 +317,10 @@ class Mesh:
         return np.array(loop[k:] + loop[:k], dtype=np.int64)
 
     def _validate(self):
-        areas = self.areas
-        bad = ~((0 < areas) & (areas < np.inf))
-        if np.any(bad):
-            raise MeshError(f"{int(np.sum(bad))} triangles have non-positive or non-finite area")
+        bad = np.flatnonzero(~_area_ok(self.areas))
+        if len(bad):
+            raise MeshError(f"{len(bad)} degenerate triangle(s): area outside "
+                            f"({AREA_EPS:g}, inf), the first {self.areas[bad[0]]:.3e}")
         if not np.isin(self.node_class, ("I", "T", "D")).all():
             raise MeshError("unknown node class")
         off_loop = self.node_class != "I"
@@ -338,6 +332,11 @@ class Mesh:
         r = np.linalg.norm(self.nodes[self.t_nodes], axis=1)
         if len(r) and (r.max() - r.min()) > 1e-12 * r.mean():
             raise MeshError("T nodes do not lie on a common circle")
+
+
+def _area_ok(areas: np.ndarray) -> np.ndarray:
+    """Per triangle, whether its area lies in (AREA_EPS, inf)."""
+    return (AREA_EPS < areas) & (areas < np.inf)
 
 
 def _signed_areas(p: np.ndarray) -> np.ndarray:
@@ -488,8 +487,7 @@ def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float) -> Mesh:
         with np.errstate(over="ignore", invalid="ignore"):
             nodes, triangles, _ = _structured(shape, R, n_radial, n_angular)
             p = nodes[triangles]
-            areas = _signed_areas(p)
-            return bool(np.all((0 < areas) & (areas < np.inf))) and _longest_side(p) <= h_target
+            return bool(np.all(_area_ok(_signed_areas(p)))) and _longest_side(p) <= h_target
 
     lo, hi = 8, 8
     while not fits(hi):

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from flexscat import (Circle, IncidentField, Method, assemble_all,
+from flexscat import (Circle, IncidentField, Method, ScalarMatrices,
                       assemble_tbc, build_system, generate_mesh,
                       generate_mesh_for_h, import_mesh, incident_load,
                       recover_fields, solve_system)
@@ -21,7 +21,7 @@ N_TRUNC = 15
 
 def solve_direct(mesh, method, kappa=KAPPA, alpha=ALPHA, radius=R, n=N_TRUNC):
     """Assemble and solve one configuration; returns (field, system)."""
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, kappa, radius, n)
     load = incident_load(tbc, kappa, radius, alpha)
     system = build_system(mesh, scalars, tbc, load, kappa, method)

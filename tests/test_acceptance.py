@@ -14,7 +14,7 @@ import pytest
 from scipy import special
 
 from flexscat import (Circle, Ellipse, IncidentField, Kite, Method,
-                      SeriesSolution, assemble_all, assemble_tbc, build_system,
+                      ScalarMatrices, SeriesSolution, assemble_tbc, build_system,
                       compute_errors, exact_samples, generate_mesh_for_h,
                       incident_load, recover_fields, refine, solve_system)
 from flexscat.assembly import (assemble_boundary_penalty,
@@ -115,7 +115,7 @@ def sweep_mesh():
 
 
 def sweep_errors(mesh, samples, make_method, values):
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, ALPHA)
     errs = []
@@ -232,7 +232,7 @@ def test_criterion_7_structural_properties(coarse_circle_mesh, sweep_mesh):
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     # DtN truncation robustness: N = 15 -> 25 barely moves ||v||_L2
-    mbar = assemble_all(sweep_mesh).mbar
+    mbar = ScalarMatrices(sweep_mesh).mbar
     norms = []
     for n_trunc in (15, 25):
         f, _ = solve_direct(sweep_mesh, IP, n=n_trunc)

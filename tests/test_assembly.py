@@ -1,7 +1,6 @@
 """Element matrices, penalty operators, and the coupled block system."""
 
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +8,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from flexscat.assembly import (AssemblyError, Method, assemble_all,
+from flexscat import assembly, cli
+from flexscat.assembly import (AssemblyError, Method, ScalarMatrices,
                                assemble_boundary_penalty,
                                assemble_interior_penalty, assemble_scalar,
                                build_dof_map, build_system)
+from flexscat.config import ScatterConfig
 from flexscat.dtn import assemble_tbc, incident_load
 from flexscat.geometry import (AREA_EPS, Circle, Ellipse, Kite, Mesh, MeshError,
                                generate_mesh, generate_mesh_for_h)
+from conftest import shuffled_import
 
 KAPPA = math.pi
 R = 0.6
@@ -59,12 +61,13 @@ def test_local_matrices_match_quadrature_on_random_triangle():
 
 
 def test_assembly_rejects_degenerate_triangles():
-    # a valid mesh whose areas all fall below AREA_EPS
+    # a mesh whose areas all fall below AREA_EPS is rejected on construction,
+    # so that no assembly sees it
     mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
-    tiny = Mesh(1e-8 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
-    assert tiny.areas.max() <= AREA_EPS
-    with pytest.raises(MeshError, match=r"^degenerate triangle, area = \d\.\d{3}e-\d+$"):
-        assemble_all(tiny)
+    assert (1e-8) ** 2 * mesh.areas.max() <= AREA_EPS
+    with pytest.raises(MeshError, match=r"^48 degenerate triangle\(s\): area outside "
+                                        r"\(1e-14, inf\), the first \d\.\d{3}e-18$"):
+        Mesh(1e-8 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
 
 
 def test_global_scalar_matrices(coarse_circle_mesh):
@@ -185,10 +188,11 @@ def test_interior_penalty_annihilates_linear_fields(request, case):
                          ids=["regular", "ip", "bp"])
 def test_reference_kj_changes_only_ip_systems(method):
     mesh = generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2)
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, math.pi / 3)
-    with_ref = dataclasses.replace(scalars, kbar_j=edge_loop_interior_penalty(mesh))
+    with_ref = ScalarMatrices(mesh)
+    with_ref.kbar_j = edge_loop_interior_penalty(mesh)
     A = build_system(mesh, scalars, tbc, load, KAPPA, method).A
     ref = build_system(mesh, with_ref, tbc, load, KAPPA, method).A
     assert np.array_equal(A.indptr, ref.indptr)
@@ -270,7 +274,7 @@ def test_dof_map_blocks(coarse_circle_mesh):
                                     Method.boundary_penalty(2.5 * KAPPA * 1e-3)])
 def test_global_system_complex_symmetric(coarse_circle_mesh, method):
     mesh = coarse_circle_mesh
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, math.pi / 3)
     system = build_system(mesh, scalars, tbc, load, KAPPA, method)
@@ -288,7 +292,7 @@ def test_global_system_complex_symmetric(coarse_circle_mesh, method):
                                     Method.boundary_penalty(0.7)])
 def test_global_system_rows_match_scalar_operators(coarse_circle_mesh, method):
     mesh = coarse_circle_mesh
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, math.pi / 3)
     system = build_system(mesh, scalars, tbc, load, KAPPA, method)
@@ -347,7 +351,7 @@ def test_global_system_equals_triple_product(shape, h, method):
     # product's, plus for IP alone a zero for every other pair of cavity
     # unknowns (the clique that orders them last)
     mesh = generate_mesh_for_h(shape, R, h)
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     load = incident_load(tbc, KAPPA, R, math.pi / 3)
     A = build_system(mesh, scalars, tbc, load, KAPPA, method).A
@@ -371,8 +375,9 @@ def test_exact_cancellation_is_stored_as_a_zero_of_the_pattern(coarse_circle_mes
     # with Kbar replaced by Mbar and kappa = 1, B1 = Mbar - Mbar cancels to
     # exact zeros; A keeps them as stored zeros of its kind's pattern
     mesh = coarse_circle_mesh
-    scalars = assemble_all(mesh)
-    cancelled = dataclasses.replace(scalars, kbar=scalars.mbar)
+    scalars = ScalarMatrices(mesh)
+    cancelled = ScalarMatrices(mesh)
+    cancelled.kbar = cancelled.mbar
     method = Method.regular()
     tbc = assemble_tbc(mesh, 1.0, R, 15)
     load = incident_load(tbc, 1.0, R, math.pi / 3)
@@ -391,37 +396,93 @@ def test_exact_cancellation_is_stored_as_a_zero_of_the_pattern(coarse_circle_mes
     assert refill.A.data.tobytes() == ref.data.tobytes()
 
 
-def test_non_canonical_scalar_matrices_are_canonicalised_on_a_copy(coarse_circle_mesh):
+@pytest.mark.parametrize("case", ["circle", "ellipse", "kite", "kite-renumbered"])
+def test_scalar_matrices_are_canonical_square_csr(case):
+    # SystemPattern reads the four matrices as they are: n x n CSR with int32
+    # indices, each row's columns ascending and none repeated
+    shape = {"circle": Circle(0.3), "ellipse": Ellipse(0.4, 0.2)}.get(case, Kite(0.3, 0.2, 0.1))
+    mesh = generate_mesh_for_h(shape, R, 0.2)
+    if case == "kite-renumbered":
+        mesh = shuffled_import(mesh, 5)[0]
+    scalars = ScalarMatrices(mesh)
+    n = mesh.n_nodes
+    for m in (scalars.kbar, scalars.mbar, scalars.kbar_j, scalars.kg):
+        assert m.format == "csr" and m.shape == (n, n)
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert len(m.indptr) == n + 1 and m.indptr[-1] == len(m.indices) == len(m.data)
+        keys = np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
+        assert np.all(np.diff(keys) > 0)
+
+
+def count_penalty_builds(monkeypatch):
+    """Calls of each penalty assembly from now on, by matrix name."""
+    calls = {"kbar_j": 0, "kg": 0}
+
+    def counted(name, build):
+        def wrapper(mesh):
+            calls[name] += 1
+            return build(mesh)
+        return wrapper
+
+    for name, attr in (("kbar_j", "assemble_interior_penalty"),
+                       ("kg", "assemble_boundary_penalty")):
+        monkeypatch.setattr(assembly, attr, counted(name, getattr(assembly, attr)))
+    return calls
+
+
+@pytest.mark.parametrize("method, built", [
+    (Method.regular(), {"kbar_j": 0, "kg": 0}),
+    (Method.interior_penalty(KAPPA * 1e-3), {"kbar_j": 1, "kg": 0}),
+    (Method.boundary_penalty(2.5 * KAPPA * 1e-3), {"kbar_j": 0, "kg": 1}),
+], ids=["regular", "ip", "bp"])
+def test_a_system_builds_only_its_own_penalty(coarse_circle_mesh, monkeypatch, method, built):
+    calls = count_penalty_builds(monkeypatch)
     mesh = coarse_circle_mesh
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
-    load = incident_load(tbc, KAPPA, R, math.pi / 3)
-    method = Method.interior_penalty(KAPPA * 1e-3)
-    # KbarJ with each row's columns descending and every entry split into
-    # two exact halves: unsorted, with duplicates
-    kj = scalars.kbar_j
-    rows = np.repeat(np.arange(mesh.n_nodes), np.diff(kj.indptr))
-    split = np.repeat(np.lexsort((-kj.indices, rows)), 2)
-    messy = sp.csr_matrix((kj.data[split] / 2, kj.indices[split], 2 * kj.indptr),
-                          shape=kj.shape)
-    before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
-    assert not messy.has_canonical_format
-    A = build_system(mesh, dataclasses.replace(scalars, kbar_j=messy), tbc, load, KAPPA,
-                     method).A
-    ref = build_system(mesh, scalars, tbc, load, KAPPA, method).A
-    for name in ("indptr", "indices", "data"):
-        assert getattr(A, name).tobytes() == getattr(ref, name).tobytes()
-    for a, b in zip(before, (messy.data, messy.indices, messy.indptr)):
-        assert np.array_equal(a, b)  # the input is left as it was
-    # a matrix that is not square over the mesh nodes is rejected
-    with pytest.raises(AssemblyError):
-        build_system(mesh, dataclasses.replace(scalars, kg=scalars.kg[:-1]), tbc, load,
-                     KAPPA, Method.boundary_penalty(0.01))
+    load = incident_load(tbc, KAPPA, R, 0.3)
+    for _ in range(2):  # a later system of the kind builds nothing more
+        build_system(mesh, scalars, tbc, load, KAPPA, method)
+    assert calls == built
+
+
+@pytest.mark.parametrize("param, built", [
+    ("gamma", {"kbar_j": 1, "kg": 0}),
+    ("eta", {"kbar_j": 0, "kg": 1}),
+])
+def test_a_sweep_builds_its_penalty_once(tmp_path, monkeypatch, param, built):
+    calls = count_penalty_builds(monkeypatch)
+    cli.run_sweep(ScatterConfig(h_target=0.2), param, [1e-3, 1e-2, 1e-1], tmp_path)
+    assert calls == built
+
+
+def test_a_self_referenced_bp_study_builds_kbar_j_for_its_reference_alone(tmp_path,
+                                                                          monkeypatch):
+    # the IP reference reads KbarJ; the BP levels read KG and never KbarJ
+    calls = count_penalty_builds(monkeypatch)
+    config = ScatterConfig(shape=Kite(0.3, 0.2, 0.1), h_target=0.8, oracle="none",
+                           method=Method.boundary_penalty(2.5 * KAPPA * 1e-3))
+    cli.run_convergence(config, 3, tmp_path)
+    assert calls == {"kbar_j": 1, "kg": 3}
+
+
+def test_build_system_refuses_another_mesh(coarse_circle_mesh):
+    # a renumbered copy has as many nodes, but its unknowns are not those of
+    # the mesh the matrices and their patterns were built on
+    mesh = coarse_circle_mesh
+    scalars = ScalarMatrices(mesh)
+    tbc = assemble_tbc(mesh, KAPPA, R, 15)
+    load = incident_load(tbc, KAPPA, R, 0.3)
+    build_system(mesh, scalars, tbc, load, KAPPA, Method.regular())
+    other = shuffled_import(mesh, 2)[0]
+    for method in (Method.regular(), Method.interior_penalty(0.01)):
+        with pytest.raises(AssemblyError, match="another mesh"):
+            build_system(other, scalars, tbc, load, KAPPA, method)
 
 
 def test_build_system_dimension_mismatch(coarse_circle_mesh):
     mesh = coarse_circle_mesh
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     with pytest.raises(AssemblyError):
         build_system(mesh, scalars, tbc, np.zeros(3, dtype=complex), KAPPA,
@@ -441,7 +502,7 @@ def test_imaginary_part_is_low_rank_on_the_p_truncation_block(coarse_circle_mesh
             else generate_mesh_for_h(Kite(0.3, 0.2, 0.1), R, 0.2))
     tbc = assemble_tbc(mesh, KAPPA, R, 15)
     assert tbc.q_block.dtype == np.float64
-    system = build_system(mesh, assemble_all(mesh), tbc, incident_load(tbc, KAPPA, R, 0.3),
+    system = build_system(mesh, ScalarMatrices(mesh), tbc, incident_load(tbc, KAPPA, R, 0.3),
                           KAPPA, method)
     dof = system.dof_map
     p_t = dof.p_dof[mesh.t_nodes]

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,8 +26,9 @@ import flexscat
 from flexscat import cli, dtn, postproc
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
-from flexscat.geometry import Circle, Ellipse, Kite, generate_mesh_for_h, import_mesh, refine
-from flexscat.assembly import Method, assemble_all
+from flexscat.geometry import (Circle, Ellipse, Kite, generate_mesh, generate_mesh_for_h,
+                               import_mesh, refine)
+from flexscat.assembly import Method, ScalarMatrices
 from flexscat.postproc import ErrorReport
 from flexscat.solve import SolverError
 from conftest import count_threads
@@ -310,12 +312,12 @@ def serial_study(cfg, levels):
         meshes.append(refine(meshes[-1]))
     ref_mesh = refine(refine(meshes[-1]))
     ref_cfg = dataclasses.replace(cfg, method=Method.interior_penalty(cfg.kappa * 1e-3))
-    ref_field = cli.solve_once(ref_cfg, ref_mesh, assemble_all(ref_mesh),
+    ref_field = cli.solve_once(ref_cfg, ref_mesh, ScalarMatrices(ref_mesh),
                                *cli.tbc_and_load(ref_cfg, ref_mesh))
     exact = postproc.fe_evaluator(ref_field, ref_mesh)
     reports = []
     for mesh in meshes:
-        field = cli.solve_once(cfg, mesh, assemble_all(mesh), *cli.tbc_and_load(cfg, mesh))
+        field = cli.solve_once(cfg, mesh, ScalarMatrices(mesh), *cli.tbc_and_load(cfg, mesh))
         reports.append(postproc.compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
                                                cfg.method, cfg.kappa, cfg.N))
     return reports
@@ -540,6 +542,75 @@ def test_a_mesh_that_cannot_be_built_leaves_no_out(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def degenerate_mesh_text(case):
+    """The 2 x 12 circle mesh as a mesh file whose triangle areas are positive
+    but some at most AREA_EPS: all of them scaled by 1e-16 ("tiny"), or one
+    pressed to about 1e-15 by moving its I node towards its T side ("sliver")."""
+    mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
+    nodes = 1e-8 * mesh.nodes
+    if case == "sliver":
+        nodes = mesh.nodes.copy()
+        cls = mesh.node_class[mesh.triangles]
+        k = np.flatnonzero((cls == "T").sum(axis=1) == 2)[0]
+        (i,), (a, b) = mesh.triangles[k][cls[k] == "I"], mesh.triangles[k][cls[k] == "T"]
+        side = nodes[b] - nodes[a]
+        foot = nodes[a] + (nodes[i] - nodes[a]) @ side / (side @ side) * side
+        nodes[i] = foot + (nodes[i] - foot) * (1e-15 / mesh.areas[k])
+    return "\n".join(
+        [f"nodes {mesh.n_nodes}"]
+        + [f"{k} {x!r} {y!r} {c}" for k, (x, y), c in
+           zip(range(1, mesh.n_nodes + 1), nodes.tolist(), mesh.node_class)]
+        + [f"triangles {mesh.n_triangles}"]
+        + [f"{k} {a} {b} {c}" for k, (a, b, c) in enumerate((mesh.triangles + 1).tolist(), 1)])
+
+
+@pytest.mark.parametrize("case, argv", [
+    ("tiny", ["solve", "--R", "6e-9", "--shape", "circle:3e-9", "--oracle", "none"]),
+    ("tiny", ["mesh", "--R", "6e-9", "--shape", "circle:3e-9"]),
+    ("sliver", ["solve", "--oracle", "none"]),
+    ("sliver", ["sweep", "--param", "gamma", "--values", "0.001"]),
+    ("sliver", ["mesh"]),
+], ids=["solve-tiny", "mesh-tiny", "solve-sliver", "sweep-sliver", "mesh-sliver"])
+def test_a_degenerate_mesh_file_is_rejected_on_import(tmp_path, capsys, case, argv):
+    # a triangle of area at most AREA_EPS fails the mesh's construction, before
+    # --out is created, as any other invalid mesh
+    path = tmp_path / "mesh.txt"
+    path.write_text(degenerate_mesh_text(case))
+    out = tmp_path / "out"
+    assert run([*argv, "--mesh", str(path), "--out", str(out)]) == 2
+    count, first = {"tiny": ("48", r"1\.125e-18"), "sliver": ("1", r"\d\.\d{3}e-1[56]")}[case]
+    assert re.fullmatch(rf"numerical failure: {count} degenerate triangle\(s\): area outside "
+                        rf"\(1e-14, inf\), the first {first}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, warns", [
+    (["solve", "--oracle", "none", "--N", "15"], True),
+    (["solve", "--oracle", "none", "--N", "20"], False),
+    (["sweep", "--param", "kappa", "--values", "2,30"], True),
+    (["sweep", "--param", "kappa", "--values", "2,3"], False),
+    (["sweep", "--param", "gamma", "--values", "0.001,0.01"], True),
+    (["converge", "--oracle", "series", "--levels", "3"], True),
+], ids=["solve", "solve-n20", "sweep-kappa", "sweep-kappa-low", "sweep-gamma", "converge"])
+def test_dtn_order_below_kappa_r_warns_once(tmp_path, capsys, argv, warns):
+    # kappa R = 18 at kappa 30 and R 0.6 (a kappa sweep takes its largest
+    # kappa): the default N = 15 drops propagating modes, N = 20 does not
+    kappa = [] if "kappa" in argv else ["--kappa", "30"]
+    assert run([*argv, *kappa, "--h", "0.2", "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    want = ("warning: DtN order N = 15 is below kappa R = 18; "
+            "the boundary condition drops propagating modes\n")
+    assert err == (want if warns else "")
+
+
+def test_no_dtn_order_warning_at_the_defaults(tmp_path, capsys):
+    assert run(["solve", "--h", "0.2", "--out", str(tmp_path / "s")]) == 0
+    assert run(["sweep", "--param", "eta", "--values", "0.01", "--h", "0.2",
+                "--out", str(tmp_path / "w")]) == 0
+    assert run(["converge", "--levels", "3", "--h", "0.4", "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class _Refined(Exception):
     pass
 
@@ -611,16 +682,19 @@ def test_out_of_range_inputs_fail_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "0" / "errors.csv").exists()
 
 
-@pytest.mark.parametrize("values, failed", [("1e-6,1", "kappa=1e-06: "),
-                                            ("1,1e9", "kappa=1000000000.0: ")],
-                         ids=["kappa-1e-6", "kappa-1e9"])
-def test_sweep_records_numerical_failures_and_goes_on(tmp_path, capsys, values, failed):
+@pytest.mark.parametrize("values, failed, warned", [
+    ("1e-6,1", "kappa=1e-06: ", ""),
+    ("1,1e9", "kappa=1000000000.0: ", "warning: DtN order N = 15 is below kappa R = 6e+08; "
+                                      "the boundary condition drops propagating modes\n"),
+], ids=["kappa-1e-6", "kappa-1e9"])
+def test_sweep_records_numerical_failures_and_goes_on(tmp_path, capsys, values, failed, warned):
     # the oracle overflows at kappa = 1e-6 and divides inf by inf at 1e9: each
-    # fails alone, as a failing solve does, and kappa = 1 still gets its row
+    # fails alone, as a failing solve does, and kappa = 1 still gets its row;
+    # stderr holds no more than the DtN order warning of the largest kappa
     out = tmp_path / "k"
     assert run(["sweep", "--h", "0.2", "--param", "kappa", "--values", values,
                 "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == warned
     rows = (out / "sweep_kappa.csv").read_text().strip().splitlines()
     assert [float(r.split(",")[1]) for r in rows[1:]] == [1.0]
     failures = (out / "sweep_kappa_failures.txt").read_text().splitlines()

@@ -240,7 +240,8 @@ def test_import_rejects_broken_meshes():
 def test_validation_catches_inverted_and_misclassified():
     mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
     # areas past the float range are rejected without an overflow warning
-    with pytest.raises(MeshError, match="48 triangles have non-positive or non-finite area"):
+    with pytest.raises(MeshError, match=r"^48 degenerate triangle\(s\): area outside "
+                                        r"\(1e-14, inf\), the first inf$"):
         Mesh(1e160 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
     tris = mesh.triangles.copy()
     tris[0] = tris[0][::-1]  # clockwise triangle

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from flexscat import (Circle, Ellipse, IncidentField, Kite, Method, ScatterConfig,
-                      assemble_all, build_system, cli, generate_mesh_for_h, solve)
+from flexscat import (Circle, Ellipse, IncidentField, Kite, Method, ScalarMatrices,
+                      ScatterConfig, build_system, cli, generate_mesh_for_h, solve)
 from flexscat.solve import (FACTORIZATIONS, KEEP_WEIGHT, PERMUTED, RESIDUAL_BOUND,
                             SolverError, recover_fields, solve_system)
 from conftest import ALPHA, KAPPA, R, RHAT, count_threads, shuffled_import, solve_direct
@@ -315,7 +315,7 @@ def test_real_attempt_passes_over_kappa(monkeypatch):
     # Re A is a real Helmholtz operator with a Robin-like DtN term, which
     # could be near-singular at some kappa; the gate must hold at each
     mesh = generate_mesh_for_h(Circle(RHAT), R, 0.035)
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     method = Method.interior_penalty(KAPPA * 1e-3)
     for kappa in np.linspace(1.0, 8.0, 20):
         cfg = ScatterConfig(kappa=kappa)
@@ -356,13 +356,14 @@ def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypa
     assert len(solved) == len(values)
     assert len(corrected) == len(values) * real
     monkeypatch.undo()
-    mesh = solved[0][0].pattern.mesh
+    # the sweep's mesh again: generation is deterministic
+    mesh = generate_mesh_for_h(config.shape, config.R, config.h_target)
     method = {"gamma": Method.interior_penalty, "eta": Method.boundary_penalty,
               "kappa": lambda kappa: config.method}[param]
     for value, (system, (w, residual)) in zip(values, solved):
         cfg = dataclasses.replace(config, kappa=value) if param == "kappa" else config
         tbc, load = cli.tbc_and_load(cfg, mesh)
-        fresh = build_system(mesh, assemble_all(mesh), tbc, load, cfg.kappa, method(value))
+        fresh = build_system(mesh, ScalarMatrices(mesh), tbc, load, cfg.kappa, method(value))
         for name in ("indptr", "indices", "data"):
             assert getattr(system.A, name).tobytes() == getattr(fresh.A, name).tobytes()
         w_fresh, _ = solve_system(fresh)
@@ -372,7 +373,7 @@ def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypa
 
 def test_every_system_of_a_kind_holds_its_pattern_arrays(coarse_circle_mesh):
     mesh = coarse_circle_mesh
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc, load = cli.tbc_and_load(ScatterConfig(), mesh)
     first = build_system(mesh, scalars, tbc, load, KAPPA, Method.boundary_penalty(0.01))
     pattern = first.pattern
@@ -398,7 +399,7 @@ def test_every_system_of_a_kind_holds_its_pattern_arrays(coarse_circle_mesh):
 ], ids=["raises", "inaccurate"])
 def test_permuted_failure_falls_back_to_colamd(medium_circle_mesh, monkeypatch, permuted):
     mesh = medium_circle_mesh
-    scalars = assemble_all(mesh)
+    scalars = ScalarMatrices(mesh)
     tbc, load = cli.tbc_and_load(ScatterConfig(), mesh)
     systems = [build_system(mesh, scalars, tbc, load, KAPPA, Method.interior_penalty(g))
                for g in (1e-3, 1e-2)]
