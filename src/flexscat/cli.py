@@ -98,8 +98,12 @@ def warn_low_dtn_order(config: ScatterConfig, kappa: float) -> None:
 
 def tbc_and_load(config: ScatterConfig, mesh: Mesh):
     """DtN blocks of a mesh and the incident load paired with them."""
-    tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
-    return tbc, incident_load(tbc, config.kappa, config.R, config.alpha)
+    try:
+        tbc = assemble_tbc(mesh, config.kappa, config.R, config.N)
+        return tbc, incident_load(tbc, config.kappa, config.R, config.alpha)
+    except (OverflowError, RuntimeWarning) as exc:  # a warning raises under main's filter
+        raise OverflowError(f"DtN symbols at kappa R = {config.kappa * config.R:.3g}: "
+                            f"{exc}") from exc
 
 
 def solve_once(config: ScatterConfig, mesh: Mesh, scalars, tbc, load):
@@ -114,7 +118,11 @@ def series_solution(config: ScatterConfig) -> SeriesSolution:
     """The series oracle of the configured circular cavity."""
     if not isinstance(config.shape, Circle):
         raise ConfigError("the series oracle applies only to circular cavities")
-    return SeriesSolution.build(config.kappa, config.shape.radius, config.alpha, ORACLE_MODES)
+    try:
+        return SeriesSolution.build(config.kappa, config.shape.radius, config.alpha, ORACLE_MODES)
+    except (OverflowError, RuntimeWarning) as exc:  # a warning raises under main's filter
+        raise OverflowError(f"series oracle at kappa Rhat = "
+                            f"{config.kappa * config.shape.radius:.3g}: {exc}") from exc
 
 
 def oracle_evaluator(config: ScatterConfig):

@@ -160,7 +160,9 @@ class Mesh:
         adjacent element indices and edge_lengths (E,)
     t_nodes, d_nodes : truncation and cavity ring node ids in ring order:
         counter-clockwise from the smallest polar angle, which is ascending
-        id on a generated mesh.  All ring data follow this order.
+        id on a generated mesh.  All ring data follow this order.  Each ring
+        is read off its triangles' orientation, which puts the domain left of
+        every boundary side; no node may lie outside the truncation circle.
     warnings : notes from import (e.g. auto-fixed orientation)
 
     areas and grads are the one source of element geometry.  They and the
@@ -240,10 +242,6 @@ class Mesh:
         return (list(map(repr, range(1, self.n_nodes + 1))),
                 *(list(map(repr, column)) for column in self.nodes.T.tolist()))
 
-    def triangle_text(self, base: int) -> np.ndarray:
-        """The triangles' node ids from `base` (0 or 1) as node_text's id text."""
-        return np.array(["0", *self.node_text[0]], dtype=object)[self.triangles + base]
-
     @property
     def truncation_radius(self) -> float:
         return float(np.linalg.norm(self.nodes[self.t_nodes], axis=1).mean())
@@ -276,43 +274,29 @@ class Mesh:
         d = self.nodes[self.interior_edges[:, 0]] - self.nodes[self.interior_edges[:, 1]]
         self.edge_lengths = np.linalg.norm(d, axis=1)
 
-        boundary = sides[order[first[counts == 1]]]
+        # sorted side s is corner s % 3 -> (s + 1) % 3 of counter-clockwise triangle
+        # s // 3: Gamma_R's sides run counter-clockwise and the cavity's clockwise
+        tri, corner = np.divmod(order[first[counts == 1]], 3)
+        boundary = np.stack([tris[tri, corner], tris[tri, (corner + 1) % 3]], axis=1)
         cls = self.node_class[boundary]
         cav = boundary[np.all(cls == "D", axis=1)]
         trc = boundary[np.all(cls == "T", axis=1)]
         if len(cav) + len(trc) != len(boundary):
             raise MeshError("boundary edge with mixed or interior node classes")
-        self.d_nodes = self._order_loop(cav, "cavity")
+        self.d_nodes = self._order_loop(cav[:, ::-1], "cavity")
         self.t_nodes = self._order_loop(trc, "truncation")
 
-    def _order_loop(self, edges: np.ndarray, name: str) -> np.ndarray:
-        if not len(edges):
+    def _order_loop(self, sides: np.ndarray, name: str) -> np.ndarray:
+        # one side leaves and one enters each node of a ring: succ permutes its keys
+        succ = dict(sides.tolist())
+        if not succ:
             raise MeshError(f"{name} boundary has no edges")
-        adj: dict[int, list[int]] = {}
-        for a, b in edges.tolist():
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if any(len(v) != 2 for v in adj.values()):
+        closed = len(succ) == len(sides) and succ.keys() == set(succ.values())
+        loop = [min(succ)]
+        while closed and succ[loop[-1]] != loop[0]:
+            loop.append(succ[loop[-1]])
+        if not closed or len(loop) != len(succ):
             raise MeshError(f"{name} boundary is not a single closed loop")
-        start = min(adj)
-        loop = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                raise MeshError(f"{name} boundary loop is broken")
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            loop.append(cur)
-        if len(loop) != len(adj):
-            raise MeshError(f"{name} boundary is not a single closed loop")
-        pts = self.nodes[loop]
-        # canonical start and direction: smallest angle, counter-clockwise
-        area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
-                       - np.roll(pts[:, 0], -1) * pts[:, 1])
-        if area2 < 0:
-            loop = loop[::-1]
         k = int(np.argmin(self.polar_angles(loop)))
         return np.array(loop[k:] + loop[:k], dtype=np.int64)
 
@@ -329,9 +313,12 @@ class Mesh:
         if np.any(off_loop):
             v = int(np.flatnonzero(off_loop)[0])
             raise MeshError(f"node {v} classed as boundary but not on a boundary loop")
-        r = np.linalg.norm(self.nodes[self.t_nodes], axis=1)
-        if len(r) and (r.max() - r.min()) > 1e-12 * r.mean():
+        r = np.linalg.norm(self.nodes, axis=1)
+        rt, tol = r[self.t_nodes], 1e-12 * r[self.t_nodes].mean()
+        if rt.max() - rt.min() > tol:
             raise MeshError("T nodes do not lie on a common circle")
+        if r.max() - rt.mean() > tol:
+            raise MeshError(f"node {int(np.argmax(r))} lies outside the truncation circle")
 
 
 def _area_ok(areas: np.ndarray) -> np.ndarray:
@@ -513,7 +500,7 @@ def export_mesh(mesh: Mesh) -> str:
     return (f"nodes {n}\n"
             + format_rows(*mesh.node_text, mesh.node_class.tolist(), sep=" ")
             + f"triangles {m}\n"
-            + format_rows(range(1, m + 1), *mesh.triangle_text(1).T, sep=" "))
+            + format_rows(range(1, m + 1), *(mesh.triangles + 1).T.tolist(), sep=" "))
 
 
 def _read_block(lines: list, pos: int, word: str, types: tuple, layout: str):

@@ -59,12 +59,10 @@ class ErrorReport:
 
 @dataclass
 class BoundaryTrace:
-    """Bending moment at the cavity nodes in loop order, with their polar angles
-    and the Re and Im w text columns of those nodes."""
+    """Bending moment at the cavity nodes in loop order, with their polar angles."""
 
     params: np.ndarray
     w: np.ndarray
-    w_text: tuple[list[str], list[str]]
 
     @property
     def total_variation(self) -> float:
@@ -125,10 +123,7 @@ def compute_errors(field: SolutionField, mesh: Mesh, samples, method: Method,
 
 def boundary_trace(field: SolutionField, mesh: Mesh) -> BoundaryTrace:
     """w at the cavity nodes in ring order, with their polar angles."""
-    ring = mesh.d_nodes
-    # Re w and Im w: the last two of the field's text columns
-    w_text = tuple([column[i] for i in ring.tolist()] for column in field.value_text[6:])
-    return BoundaryTrace(mesh.polar_angles(ring), field.w[ring], w_text)
+    return BoundaryTrace(mesh.polar_angles(mesh.d_nodes), field.w[mesh.d_nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +282,8 @@ def read_field_csv(text: str, mesh: Mesh) -> SolutionField:
 def trace_csv(trace: BoundaryTrace) -> str:
     # Python's abs(complex), not np.abs: the two can differ in the last digit
     return "param,Re_w,Im_w,abs_w\n" + format_rows(
-        trace.params.tolist(), *trace.w_text, map(abs, trace.w.tolist()))
+        trace.params.tolist(), trace.w.real.tolist(), trace.w.imag.tolist(),
+        map(abs, trace.w.tolist()))
 
 
 def error_csv(reports: list[ErrorReport]) -> str:
@@ -301,7 +297,7 @@ def vtk_field(field: SolutionField, mesh: Mesh) -> str:
              f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
              format_rows(*mesh.node_text[1:], ["0.0"] * n, sep=" "),
              f"CELLS {m} {4 * m}\n",
-             format_rows(["3"] * m, *mesh.triangle_text(0).T, sep=" "),
+             format_rows(["3"] * m, *mesh.triangles.T.tolist(), sep=" "),
              f"CELL_TYPES {m}\n", "5\n" * m, f"POINT_DATA {n}\n"]
     # Re/Im of v and w: the last four of the field's text columns
     for name, column in zip(("Re_v", "Im_v", "Re_w", "Im_w"), field.value_text[4:]):

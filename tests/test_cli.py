@@ -26,8 +26,8 @@ import flexscat
 from flexscat import cli, dtn, postproc
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
-from flexscat.geometry import (Circle, Ellipse, Kite, generate_mesh, generate_mesh_for_h,
-                               import_mesh, refine)
+from flexscat.geometry import (Circle, Ellipse, Kite, MeshError, generate_mesh,
+                               generate_mesh_for_h, import_mesh, refine)
 from flexscat.assembly import Method, ScalarMatrices
 from flexscat.postproc import ErrorReport
 from flexscat.solve import SolverError
@@ -582,6 +582,74 @@ def test_a_degenerate_mesh_file_is_rejected_on_import(tmp_path, capsys, case, ar
     assert re.fullmatch(rf"numerical failure: {count} degenerate triangle\(s\): area outside "
                         rf"\(1e-14, inf\), the first {first}\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+def ring_error_mesh_text(case):
+    """A mesh file whose boundary rings are invalid.  "enclosing": the h 0.2
+    circle mesh with its T and D classes swapped, so the cavity encloses
+    Gamma_R; "hole": the 6 x 16 circle mesh less the triangles around node
+    (3, 0), whose ring is classed D, a second cavity loop; "pinched": the same
+    holes around nodes (3, 0) and (3, 2), whose rings share node (3, 1), which
+    has two cavity sides leaving it."""
+    if case == "enclosing":
+        mesh = generate_mesh_for_h(Circle(0.3), 0.6, 0.2)
+        triangles, cls = mesh.triangles, mesh.node_class.copy()
+        cls[mesh.node_class == "T"], cls[mesh.node_class == "D"] = "D", "T"
+    else:
+        mesh = generate_mesh(Circle(0.3), 0.6, 6, 16)
+        centres = [3 * 16] if case == "hole" else [3 * 16, 3 * 16 + 2]
+        around = np.isin(mesh.triangles, centres).any(axis=1)
+        triangles, cls = mesh.triangles[~around], mesh.node_class.copy()
+        cls[np.setdiff1d(mesh.triangles[around], centres)] = "D"
+    return "\n".join(
+        [f"nodes {mesh.n_nodes}"]
+        + [f"{k} {x!r} {y!r} {c}" for k, (x, y), c in
+           zip(range(1, mesh.n_nodes + 1), mesh.nodes.tolist(), cls)]
+        + [f"triangles {len(triangles)}"]
+        + [f"{k} {a} {b} {c}" for k, (a, b, c) in enumerate((triangles + 1).tolist(), 1)])
+
+
+@pytest.mark.parametrize("case, argv, message", [
+    ("enclosing", ["--R", "0.3", "--shape", "circle:0.6"],
+     r"node \d+ lies outside the truncation circle"),
+    ("hole", [], "cavity boundary is not a single closed loop"),
+    ("pinched", [], "cavity boundary is not a single closed loop"),
+], ids=["enclosing", "hole", "pinched"])
+def test_a_mesh_file_with_a_bad_ring_is_rejected_on_import(tmp_path, capsys, case, argv,
+                                                            message):
+    # each ring is read off its triangles' orientation: the enclosing cavity's
+    # rings are single loops, but its D nodes lie outside Gamma_R
+    text = ring_error_mesh_text(case)
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        import_mesh(text)
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["solve", "--mesh", str(path), *argv, "--oracle", "none", "--out", str(out)]) == 2
+    assert re.fullmatch(f"numerical failure: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+#: a cavity so small that kappa Rhat = 9.42e-09
+TINY = ["--R", "6e-9", "--shape", "circle:3e-9"]
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["solve", *TINY], "series oracle at kappa Rhat = 9.42e-09"),
+    (["sweep", "--param", "gamma", "--values", "0.001", *TINY],
+     "series oracle at kappa Rhat = 9.42e-09"),
+    (["analytic", *TINY], "series oracle at kappa Rhat = 9.42e-09"),
+    (["converge", "--levels", "3", *TINY], "series oracle at kappa Rhat = 9.42e-09"),
+    (["solve", "--h", "0.2", "--kappa", "1e-6"], "series oracle at kappa Rhat = 3e-07"),
+    (["solve", "--h", "0.2", "--kappa", "1e-9", "--oracle", "none"],
+     "DtN symbols at kappa R = 6e-10"),
+], ids=["solve", "sweep", "analytic", "converge", "solve-kappa", "solve-kappa-no-oracle"])
+def test_an_overflow_names_its_stage(tmp_path, capsys, argv, stage):
+    # the series oracle squares Y_n(kappa Rhat), the DtN symbols H_n(kappa R):
+    # each overflows at a tiny argument, and the one line says which did
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: {stage}: overflow encountered in multiply\n")
 
 
 @pytest.mark.parametrize("argv, warns", [

@@ -183,8 +183,7 @@ def test_boundary_trace_ordering(coarse_regular_solution, coarse_circle_mesh):
 
 def test_total_variation_definition():
     tr = BoundaryTrace(np.array([0.0, 1.0, 2.0]),
-                       np.array([1.0, -1.0, 0.5], dtype=complex),
-                       (["1.0", "-1.0", "0.5"], ["0.0"] * 3))
+                       np.array([1.0, -1.0, 0.5], dtype=complex))
     # |(-1) - 1| + |0.5 - (-1)| + |1 - 0.5| = 4.0 cyclically
     assert tr.total_variation == pytest.approx(4.0)
 
