@@ -5,6 +5,12 @@ Each run writes CSV/VTK artifacts plus a metadata JSON into the output
 directory; re-running with identical configuration yields byte-identical
 files.  Exit statuses: 0 success, 1 usage/config error, 2 numerical
 failure.
+
+``solve`` with an oracle samples it on one worker thread while the main
+thread assembles, factors and writes; a self-referenced ``converge`` solves
+its levels on one while the reference factors.  A main-path failure is
+reported first, so outputs, messages and exit codes are those of running in
+turn.  ``sweep`` runs in one thread: an oracle failure must abort it first.
 """
 
 from __future__ import annotations
@@ -156,21 +162,28 @@ def load_reference(run_dir: Path, config: ScatterConfig):
 
 
 def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
-    """Single solve; writes mesh, field, trace, metadata, optional errors."""
+    """Single solve; writes mesh, field, trace, metadata, optional errors.
+
+    The oracle's samples depend only on the mesh: a worker evaluates them
+    while this thread assembles, factors (every factor stays here) and writes.
+    Leaving the ``with`` joins it, so a failing solve is reported first.
+    """
     exact = oracle_evaluator(config)
     mesh = build_config_mesh(config, out_dir)
     warn_low_dtn_order(config, config.kappa)
-    field = solve_once(config, mesh, ScalarMatrices(mesh), *tbc_and_load(config, mesh))
+    with ThreadPoolExecutor(1) as pool:  # its thread starts at the first submit
+        samples = None if exact is None else pool.submit(postproc.exact_samples, mesh, exact)
+        field = solve_once(config, mesh, ScalarMatrices(mesh), *tbc_and_load(config, mesh))
 
-    (out_dir / "mesh.txt").write_text(export_mesh(mesh))
-    (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
-    (out_dir / "field.vtk").write_text(postproc.vtk_field(field, mesh))
-    trace = boundary_trace(field, mesh)
-    (out_dir / "trace.csv").write_text(postproc.trace_csv(trace))
+        (out_dir / "mesh.txt").write_text(export_mesh(mesh))
+        (out_dir / "field.csv").write_text(postproc.field_csv(field, mesh))
+        (out_dir / "field.vtk").write_text(postproc.vtk_field(field, mesh))
+        trace = boundary_trace(field, mesh)
+        (out_dir / "trace.csv").write_text(postproc.trace_csv(trace))
 
     report = None
-    if exact is not None:
-        report = compute_errors(field, mesh, postproc.exact_samples(mesh, exact),
+    if samples is not None:
+        report = compute_errors(field, mesh, samples.result(),
                                 config.method, config.kappa, config.N)
         (out_dir / "errors.csv").write_text(postproc.error_csv([report]))
 

@@ -35,7 +35,8 @@ _CONTAINMENT_SAMPLES = 720
 #: Largest n_angular the h-driven search tries.
 MAX_ANGULAR = 8192
 
-#: A triangle's area must lie in (AREA_EPS, inf); a smaller one is degenerate.
+#: A triangle's area must lie in (AREA_EPS L^2, inf), with L its longest side;
+#: a smaller one is degenerate.  The floor is scale-free: it bounds the shape.
 AREA_EPS = 1e-14
 
 
@@ -162,7 +163,8 @@ class Mesh:
         counter-clockwise from the smallest polar angle, which is ascending
         id on a generated mesh.  All ring data follow this order.  Each ring
         is read off its triangles' orientation, which puts the domain left of
-        every boundary side; no node may lie outside the truncation circle.
+        every boundary side; no node may lie outside the truncation circle,
+        and every node must lie in a triangle.
     warnings : notes from import (e.g. auto-fixed orientation)
 
     areas and grads are the one source of element geometry.  They and the
@@ -301,10 +303,13 @@ class Mesh:
         return np.array(loop[k:] + loop[:k], dtype=np.int64)
 
     def _validate(self):
-        bad = np.flatnonzero(~_area_ok(self.areas))
+        p = self.nodes[self.triangles]
+        bad = np.flatnonzero(~_area_ok(p, self.areas))
         if len(bad):
-            raise MeshError(f"{len(bad)} degenerate triangle(s): area outside "
-                            f"({AREA_EPS:g}, inf), the first {self.areas[bad[0]]:.3e}")
+            k = bad[0]
+            raise MeshError(f"{len(bad)} degenerate triangle(s): area outside ({AREA_EPS:g} L^2, "
+                            f"inf) for longest side L, the first {self.areas[k]:.3e} with "
+                            f"L = {_longest_side(p[k:k + 1]):.3e}")
         if not np.isin(self.node_class, ("I", "T", "D")).all():
             raise MeshError("unknown node class")
         off_loop = self.node_class != "I"
@@ -319,11 +324,18 @@ class Mesh:
             raise MeshError("T nodes do not lie on a common circle")
         if r.max() - rt.mean() > tol:
             raise MeshError(f"node {int(np.argmax(r))} lies outside the truncation circle")
+        unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=self.n_nodes) == 0)
+        if len(unused):
+            (x, y), v = self.nodes[unused[0]], unused[0]
+            raise MeshError(f"node {v} at ({x:.6g}, {y:.6g}) is in no triangle")
 
 
-def _area_ok(areas: np.ndarray) -> np.ndarray:
-    """Per triangle, whether its area lies in (AREA_EPS, inf)."""
-    return (AREA_EPS < areas) & (areas < np.inf)
+def _area_ok(p: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Per triangle p (M, 3, 2) of these areas, whether its area lies in
+    (AREA_EPS L^2, inf), with L its longest side."""
+    sides = np.diff(p[:, [0, 1, 2, 0]], axis=1)
+    longest2 = np.einsum("mks,mks->mk", sides, sides).max(axis=1)
+    return (AREA_EPS * longest2 < areas) & (areas < np.inf)
 
 
 def _signed_areas(p: np.ndarray) -> np.ndarray:
@@ -474,7 +486,7 @@ def generate_mesh_for_h(shape: CavityShape, R: float, h_target: float) -> Mesh:
         with np.errstate(over="ignore", invalid="ignore"):
             nodes, triangles, _ = _structured(shape, R, n_radial, n_angular)
             p = nodes[triangles]
-            return bool(np.all(_area_ok(_signed_areas(p)))) and _longest_side(p) <= h_target
+            return bool(np.all(_area_ok(p, _signed_areas(p)))) and _longest_side(p) <= h_target
 
     lo, hi = 8, 8
     while not fits(hi):

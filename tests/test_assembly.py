@@ -61,13 +61,15 @@ def test_local_matrices_match_quadrature_on_random_triangle():
 
 
 def test_assembly_rejects_degenerate_triangles():
-    # a mesh whose areas all fall below AREA_EPS is rejected on construction,
-    # so that no assembly sees it
+    # a mesh pressed flat, whose areas all fall below AREA_EPS times their
+    # longest side squared, is rejected on construction, so that no assembly sees it
     mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
-    assert (1e-8) ** 2 * mesh.areas.max() <= AREA_EPS
+    flat = mesh.nodes * [1.0, 1e-16]
+    assert 1e-16 * mesh.areas.max() <= AREA_EPS * (0.1 * mesh.h) ** 2
     with pytest.raises(MeshError, match=r"^48 degenerate triangle\(s\): area outside "
-                                        r"\(1e-14, inf\), the first \d\.\d{3}e-18$"):
-        Mesh(1e-8 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
+                                        r"\(1e-14 L\^2, inf\) for longest side L, "
+                                        r"the first \d\.\d{3}e-18 with L = \d\.\d{3}e-01$"):
+        Mesh(flat, mesh.triangles.copy(), mesh.node_class.copy())
 
 
 def test_global_scalar_matrices(coarse_circle_mesh):

@@ -23,13 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flexscat
-from flexscat import cli, dtn, postproc
+from flexscat import cli, dtn, postproc, solve
 from flexscat.cli import main, observed_orders, run_convergence, run_solve, run_sweep
 from flexscat.config import ConfigError, ScatterConfig
-from flexscat.geometry import (Circle, Ellipse, Kite, MeshError, generate_mesh,
+from flexscat.geometry import (Circle, Ellipse, Kite, MeshError, export_mesh, generate_mesh,
                                generate_mesh_for_h, import_mesh, refine)
 from flexscat.assembly import Method, ScalarMatrices
 from flexscat.postproc import ErrorReport
+from flexscat.series import CavityPointError
 from flexscat.solve import SolverError
 from conftest import count_threads
 
@@ -492,10 +493,13 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
         assert err.startswith("numerical failure: cannot reach h <= "), err
         assert len(err.splitlines()) == 1
     # the coarse cavity polygon puts quadrature points inside the circle
+    # (sampled on the worker) after the field artifacts are written
     assert run(["solve", "--h", "0.5", "--out", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert "mesh too coarse for the series oracle" in err
     assert len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(tmp_path / "c")) == ["field.csv", "field.vtk", "mesh.txt",
+                                                  "trace.csv"]
     # a 0.4-cavity reference relabelled as 0.3 cannot cover the 0.3..0.4 ring
     ref = tmp_path / "ref"
     assert run(["solve", "--h", "0.2", "--shape", "circle:0.4", "--oracle", "none",
@@ -543,19 +547,22 @@ def test_a_mesh_that_cannot_be_built_leaves_no_out(tmp_path, capsys, argv):
 
 
 def degenerate_mesh_text(case):
-    """The 2 x 12 circle mesh as a mesh file whose triangle areas are positive
-    but some at most AREA_EPS: all of them scaled by 1e-16 ("tiny"), or one
-    pressed to about 1e-15 by moving its I node towards its T side ("sliver")."""
+    """The 2 x 12 circle mesh as a mesh file with one sliver: a triangle of
+    positive area pressed to 1e-15 L^2 (L its longest side, a T chord) by moving
+    its I node towards its T side ("sliver"), or that mesh scaled by 1e-8
+    ("tiny"), whose areas all lie below 1e-14.  The 2 x 12 mesh itself scaled
+    by 1e-8 is "tiny-clean"."""
     mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
-    nodes = 1e-8 * mesh.nodes
-    if case == "sliver":
-        nodes = mesh.nodes.copy()
+    nodes = mesh.nodes.copy()
+    if case != "tiny-clean":
         cls = mesh.node_class[mesh.triangles]
         k = np.flatnonzero((cls == "T").sum(axis=1) == 2)[0]
         (i,), (a, b) = mesh.triangles[k][cls[k] == "I"], mesh.triangles[k][cls[k] == "T"]
         side = nodes[b] - nodes[a]
         foot = nodes[a] + (nodes[i] - nodes[a]) @ side / (side @ side) * side
-        nodes[i] = foot + (nodes[i] - foot) * (1e-15 / mesh.areas[k])
+        nodes[i] = foot + (nodes[i] - foot) * (1e-15 * (side @ side) / mesh.areas[k])
+    if case != "sliver":
+        nodes *= 1e-8
     return "\n".join(
         [f"nodes {mesh.n_nodes}"]
         + [f"{k} {x!r} {y!r} {c}" for k, (x, y), c in
@@ -564,24 +571,46 @@ def degenerate_mesh_text(case):
         + [f"{k} {a} {b} {c}" for k, (a, b, c) in enumerate((mesh.triangles + 1).tolist(), 1)])
 
 
+#: a cavity so small that kappa Rhat = 9.42e-09
+TINY = ["--R", "6e-9", "--shape", "circle:3e-9"]
+
+
 @pytest.mark.parametrize("case, argv", [
-    ("tiny", ["solve", "--R", "6e-9", "--shape", "circle:3e-9", "--oracle", "none"]),
-    ("tiny", ["mesh", "--R", "6e-9", "--shape", "circle:3e-9"]),
+    ("tiny", ["solve", *TINY, "--oracle", "none"]),
+    ("tiny", ["mesh", *TINY]),
     ("sliver", ["solve", "--oracle", "none"]),
     ("sliver", ["sweep", "--param", "gamma", "--values", "0.001"]),
     ("sliver", ["mesh"]),
 ], ids=["solve-tiny", "mesh-tiny", "solve-sliver", "sweep-sliver", "mesh-sliver"])
 def test_a_degenerate_mesh_file_is_rejected_on_import(tmp_path, capsys, case, argv):
-    # a triangle of area at most AREA_EPS fails the mesh's construction, before
-    # --out is created, as any other invalid mesh
+    # a triangle of area at most AREA_EPS times its longest side squared fails
+    # the mesh's construction, before --out is created, as any other invalid
+    # mesh, at any scale
     path = tmp_path / "mesh.txt"
     path.write_text(degenerate_mesh_text(case))
     out = tmp_path / "out"
     assert run([*argv, "--mesh", str(path), "--out", str(out)]) == 2
-    count, first = {"tiny": ("48", r"1\.125e-18"), "sliver": ("1", r"\d\.\d{3}e-1[56]")}[case]
-    assert re.fullmatch(rf"numerical failure: {count} degenerate triangle\(s\): area outside "
-                        rf"\(1e-14, inf\), the first {first}\n", capsys.readouterr().err)
+    area, side = {"tiny": (r"\d\.\d{3}e-3[23]", "3.106e-09"),
+                  "sliver": (r"\d\.\d{3}e-1[67]", "3.106e-01")}[case]
+    assert re.fullmatch(rf"numerical failure: 1 degenerate triangle\(s\): area outside "
+                        rf"\(1e-14 L\^2, inf\) for longest side L, the first {area} "
+                        rf"with L = {re.escape(side)}\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_tiny_well_shaped_meshes_pass(tmp_path, capsys):
+    # well-shaped triangles pass however small: the 2 x 12 mesh scaled by 1e-8,
+    # whose areas all lie below 1e-14, and a mesh generated at R = 6e-7
+    path = tmp_path / "tiny.txt"
+    path.write_text(degenerate_mesh_text("tiny-clean"))
+    assert run(["mesh", *TINY, "--mesh", str(path), "--out", str(tmp_path / "a")]) == 0
+    mesh = import_mesh((tmp_path / "a" / "mesh.txt").read_text())
+    assert mesh.areas.max() < 1e-14
+    for k, h in enumerate(("6e-8", "3e-7")):
+        out = tmp_path / f"g{k}"
+        assert run(["mesh", "--R", "6e-7", "--shape", "circle:3e-7", "--h", h,
+                    "--out", str(out)]) == 0, capsys.readouterr().err
+        assert import_mesh((out / "mesh.txt").read_text()).h <= float(h)
 
 
 def ring_error_mesh_text(case):
@@ -630,8 +659,20 @@ def test_a_mesh_file_with_a_bad_ring_is_rejected_on_import(tmp_path, capsys, cas
     assert not out.exists()
 
 
-#: a cavity so small that kappa Rhat = 9.42e-09
-TINY = ["--R", "6e-9", "--shape", "circle:3e-9"]
+def test_a_mesh_file_with_a_node_in_no_triangle_is_rejected_on_import(tmp_path, capsys):
+    # the h 0.2 circle mesh plus one I node that no triangle uses: A would be
+    # singular, so the mesh fails its construction, before --out is created
+    mesh = generate_mesh_for_h(Circle(0.3), 0.6, 0.2)
+    lines = export_mesh(mesh).splitlines()
+    n = mesh.n_nodes
+    path = tmp_path / "mesh.txt"
+    path.write_text("\n".join([f"nodes {n + 1}", *lines[1:n + 1], f"{n + 1} 0.0 0.45 I",
+                               *lines[n + 1:]]))
+    out = tmp_path / "out"
+    assert run(["solve", "--mesh", str(path), "--oracle", "none", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"numerical failure: node {n} at (0, 0.45) "
+                                       "is in no triangle\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, stage", [
@@ -848,18 +889,103 @@ def test_fuzzed_flags_exit_cleanly(argv):
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
 
 
-def test_solves_below_the_real_attempt_start_no_thread(tmp_path, monkeypatch):
+#: the benchmark's circle IP solve options
+CIRCLE_IP = ["--shape", "circle:0.3", "--method", "ip:0.0031", "--oracle", "series"]
+
+
+def test_solves_below_the_real_attempt_build_no_woodbury(tmp_path, monkeypatch):
     """The benchmark's ladder (495 and 1,881 dofs), its gamma sweep (495) and its
-    set-up probe (solve --h 0.2) stay on the complex path, in one thread."""
+    set-up probe (solve --h 0.2) stay on the complex path.  A series-oracle
+    solve starts one thread, its oracle worker; the probe and the sweep none."""
+    woodbury, built = solve._Woodbury, []
+    monkeypatch.setattr(solve, "_Woodbury", lambda *args: built.append(args) or woodbury(*args))
     started = count_threads(monkeypatch)
-    ip = ["--shape", "circle:0.3", "--method", "ip:0.0031", "--oracle", "series"]
-    for k, argv in enumerate([["solve", "--h", "0.2"],
-                              ["solve", *ip, "--h", "0.1"],
-                              ["solve", *ip, "--h", "0.05"],
-                              ["sweep", "--param", "gamma", "--logspace", "1e-4", "1e-1", "3",
-                               *ip, "--h", "0.1"]]):
+    for k, (argv, threads) in enumerate([
+            (["solve", "--h", "0.2", "--oracle", "none"], 0),
+            (["solve", *CIRCLE_IP, "--h", "0.1"], 1),
+            (["solve", *CIRCLE_IP, "--h", "0.05"], 1),
+            (["sweep", "--param", "gamma", "--logspace", "1e-4", "1e-1", "3",
+              *CIRCLE_IP, "--h", "0.1"], 0)]):
+        started.clear()
         assert run([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
-    assert started == []
-    # the same hook sees the real attempt's threads above REAL_MIN_DOFS
-    assert run(["solve", *ip, "--h", "0.04", "--out", str(tmp_path / "real")]) == 0
-    assert started
+        assert len(started) == threads, argv
+    assert built == []
+    # the same hooks see the real attempt above REAL_MIN_DOFS, with its threads
+    started.clear()
+    assert run(["solve", *CIRCLE_IP, "--h", "0.04", "--out", str(tmp_path / "real")]) == 0
+    assert len(built) == 1 and len(started) > 1
+
+
+def test_a_solve_writes_the_errors_of_the_serial_composition(tmp_path):
+    # the oracle's samples come from a worker; the bytes are those of one thread
+    assert run(["solve", *CIRCLE_IP, "--h", "0.1", "--out", str(tmp_path)]) == 0
+    config = ScatterConfig(shape=Circle(0.3), method=Method.interior_penalty(0.0031),
+                           h_target=0.1)
+    mesh = generate_mesh_for_h(config.shape, config.R, config.h_target)
+    field = cli.solve_once(config, mesh, ScalarMatrices(mesh), *cli.tbc_and_load(config, mesh))
+    samples = postproc.exact_samples(mesh, cli.oracle_evaluator(config))
+    report = postproc.compute_errors(field, mesh, samples, config.method, config.kappa, config.N)
+    assert (tmp_path / "errors.csv").read_text() == postproc.error_csv([report])
+
+
+@pytest.mark.parametrize("h", ["0.1", "0.04"])
+def test_the_oracle_samples_on_a_worker_while_the_system_solves(tmp_path, monkeypatch, h):
+    main_thread, seen = threading.main_thread(), {}
+    solving, sampled = threading.Event(), threading.Event()
+    exact_samples, solve_system, splu = postproc.exact_samples, cli.solve_system, solve.splu
+
+    def sample(*args):
+        seen["samples"] = threading.current_thread()
+        try:
+            assert solving.wait(timeout=60)
+            return exact_samples(*args)
+        finally:
+            sampled.set()
+
+    def solve_in_turn(system):
+        seen["solve"] = threading.current_thread()
+        solving.set()
+        result = solve_system(system)
+        # the samples are done before this solve returns: the two overlapped
+        seen["overlapped"] = sampled.wait(timeout=60)
+        return result
+
+    factored = []
+    monkeypatch.setattr(postproc, "exact_samples", sample)
+    monkeypatch.setattr(cli, "solve_system", solve_in_turn)
+    monkeypatch.setattr(solve, "splu", lambda *a, **k: factored.append(
+        threading.current_thread()) or splu(*a, **k))
+    assert run(["solve", *CIRCLE_IP, "--h", h, "--out", str(tmp_path)]) == 0
+    assert seen["solve"] is main_thread and seen["samples"] is not main_thread
+    assert seen["overlapped"]
+    assert factored and all(t is main_thread for t in factored)
+
+
+def test_a_failing_solve_is_reported_before_a_failing_oracle(tmp_path, monkeypatch, capsys):
+    oracle_failed = threading.Event()
+
+    def sample(*args):
+        oracle_failed.set()
+        raise CavityPointError("evaluation point inside the cavity")
+
+    def solve_system(system):
+        assert oracle_failed.wait(timeout=60)
+        raise SolverError("factorization failed: Factor is exactly singular")
+
+    monkeypatch.setattr(postproc, "exact_samples", sample)
+    monkeypatch.setattr(cli, "solve_system", solve_system)
+    assert run(["solve", *CIRCLE_IP, "--h", "0.1", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == ("numerical failure: factorization failed: "
+                                       "Factor is exactly singular\n")
+    assert os.listdir(tmp_path / "s") == []
+
+
+def test_a_warning_on_the_oracle_worker_exits_2_in_one_line(tmp_path, monkeypatch, capsys):
+    # main's process-wide filter turns the worker's warning into an error
+    monkeypatch.setattr(postproc, "exact_samples",
+                        lambda mesh, exact: np.exp(np.float64(1000.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # not the test suite's filter
+        assert run(["solve", *CIRCLE_IP, "--h", "0.1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in exp\n"
+    assert sorted(os.listdir(tmp_path)) == ["field.csv", "field.vtk", "mesh.txt", "trace.csv"]

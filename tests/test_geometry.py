@@ -241,7 +241,8 @@ def test_validation_catches_inverted_and_misclassified():
     mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
     # areas past the float range are rejected without an overflow warning
     with pytest.raises(MeshError, match=r"^48 degenerate triangle\(s\): area outside "
-                                        r"\(1e-14, inf\), the first inf$"):
+                                        r"\(1e-14 L\^2, inf\) for longest side L, "
+                                        r"the first inf with L = inf$"):
         Mesh(1e160 * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
     tris = mesh.triangles.copy()
     tris[0] = tris[0][::-1]  # clockwise triangle
@@ -251,6 +252,23 @@ def test_validation_catches_inverted_and_misclassified():
     cls[mesh.interior_nodes[0]] = "T"  # interior node claimed on the circle
     with pytest.raises(MeshError):
         Mesh(mesh.nodes.copy(), mesh.triangles.copy(), cls)
+
+
+def test_the_area_floor_is_scale_free():
+    # the floor is relative to each triangle's longest side squared: a
+    # collinear triangle fails at any scale, a well-shaped one passes at any
+    mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
+    i = mesh.interior_nodes[0]
+    k = next(k for k, t in enumerate(mesh.triangles)
+             if i in t and (mesh.node_class[t] == "T").sum() == 2)
+    a, b = mesh.triangles[k][mesh.triangles[k] != i]
+    nodes = mesh.nodes.copy()
+    nodes[i] = 0.5 * (nodes[a] + nodes[b])
+    for scale in (1.0, 1e-8, 1e8):
+        scaled = Mesh(scale * mesh.nodes, mesh.triangles.copy(), mesh.node_class.copy())
+        assert np.allclose(scaled.areas, scale ** 2 * mesh.areas, rtol=1e-12, atol=0.0)
+        with pytest.raises(MeshError, match=r"^\d+ degenerate triangle\(s\): "):
+            Mesh(scale * nodes, mesh.triangles.copy(), mesh.node_class.copy())
 
 
 def test_graded_meshes_stay_valid_under_refinement():
