@@ -8,9 +8,10 @@ failure.
 
 ``solve`` with an oracle samples it on one worker thread while the main
 thread assembles, factors and writes; a self-referenced ``converge`` solves
-its levels on one while the reference factors.  A main-path failure is
-reported first, so outputs, messages and exit codes are those of running in
-turn.  ``sweep`` runs in one thread: an oracle failure must abort it first.
+its levels on one while the reference factors; ``sweep`` alternates the
+values after the first to keep an ordering between the main thread and one
+worker.  A main-path failure is reported first (a sweep's in value order),
+so outputs, messages and exit codes are those of running in turn.
 """
 
 from __future__ import annotations
@@ -201,7 +202,12 @@ def run_solve(config: ScatterConfig, out_dir: Path) -> ErrorReport | None:
 
 def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
               out_dir: Path) -> list[ErrorReport | None]:
-    """One error row per parameter value; mesh and all else held fixed."""
+    """One error row per parameter value; mesh and all else held fixed.
+
+    Values run in turn until the kind's SystemPattern keeps an ordering (a
+    fresh and a kept ordering's factors may differ in roundoff), then on two
+    lanes, each value's factors on its lane's thread, read in value order.
+    """
     if parameter not in ("gamma", "eta", "kappa"):
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if not all(0 < v < math.inf for v in values) or list(values) != sorted(values):
@@ -217,11 +223,10 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
     # only the series oracle, the TBC and the load depend on a swept parameter (kappa)
     if parameter != "kappa":
         samples = postproc.exact_samples(mesh, exact)
-        tbc, load = tbc_and_load(config, mesh)
+        fixed = (*tbc_and_load(config, mesh), samples)
 
-    reports: list[ErrorReport | None] = []
-    failures: list[str] = []
-    for value in values:
+    def outcome(value: float) -> ErrorReport | str:
+        """The value's error report, or its failure's line (on its lane's thread)."""
         if parameter == "gamma":
             cfg = dataclasses.replace(config, method=Method.interior_penalty(value))
         elif parameter == "eta":
@@ -229,19 +234,45 @@ def run_sweep(config: ScatterConfig, parameter: str, values: list[float],
         else:
             cfg = dataclasses.replace(config, kappa=value)
         try:
-            if parameter == "kappa":
-                tbc, load = tbc_and_load(cfg, mesh)
-                samples = postproc.exact_samples(mesh, oracle_evaluator(cfg))
+            tbc, load, samples = fixed if parameter != "kappa" else (
+                *tbc_and_load(cfg, mesh), postproc.exact_samples(mesh, oracle_evaluator(cfg)))
             field = solve_once(cfg, mesh, scalars, tbc, load)
-            reports.append(compute_errors(field, mesh, samples, cfg.method,
-                                          cfg.kappa, cfg.N))
+            return compute_errors(field, mesh, samples, cfg.method, cfg.kappa, cfg.N)
         except (SolverError, AssemblyError, MeshError, OverflowError,
                 RuntimeWarning) as exc:  # a warning raises under main's filter
-            reports.append(None)
-            failures.append(f"{parameter}={value!r}: {exc}")
+            return f"{parameter}={value!r}: {exc}"
 
+    def lane(indices: range) -> None:
+        """Outcomes in turn up to an aborting exception, kept with its frames cleared."""
+        for i in indices:
+            try:
+                outcomes[i] = outcome(values[i])
+            except Exception as exc:
+                traceback.clear_frames(exc.__traceback__)
+                outcomes[i] = exc
+                return
+
+    outcomes: list = [None] * len(values)
+    first = 0
+    while first < len(values) and not any(p.ordering for p in scalars.patterns.values()):
+        outcomes[first] = outcome(values[first])
+        first += 1
+    rest = range(first, len(values))
+    if len(rest) < 2:
+        lane(rest)
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            later = pool.submit(lane, rest[1::2])
+            lane(rest[::2])
+            later.result()
+    for done in outcomes:  # a lane stops at its abort: all outcomes before the first are set
+        if isinstance(done, Exception):
+            raise done
+
+    reports = [None if isinstance(o, str) else o for o in outcomes]
     rows = [r for r in reports if r is not None]
     (out_dir / f"sweep_{parameter}.csv").write_text(postproc.error_csv(rows))
+    failures = [o for o in outcomes if isinstance(o, str)]
     if failures:
         (out_dir / f"sweep_{parameter}_failures.txt").write_text("\n".join(failures) + "\n")
     return reports

@@ -316,18 +316,21 @@ class Mesh:
         off_loop[self.d_nodes] = False
         off_loop[self.t_nodes] = False
         if np.any(off_loop):
-            v = int(np.flatnonzero(off_loop)[0])
-            raise MeshError(f"node {v} classed as boundary but not on a boundary loop")
+            raise MeshError(f"{self._node_name(np.flatnonzero(off_loop)[0])} classed as "
+                            "boundary but not on a boundary loop")
         r = np.linalg.norm(self.nodes, axis=1)
         rt, tol = r[self.t_nodes], 1e-12 * r[self.t_nodes].mean()
         if rt.max() - rt.min() > tol:
             raise MeshError("T nodes do not lie on a common circle")
         if r.max() - rt.mean() > tol:
-            raise MeshError(f"node {int(np.argmax(r))} lies outside the truncation circle")
+            raise MeshError(f"{self._node_name(np.argmax(r))} lies outside the truncation circle")
         unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=self.n_nodes) == 0)
         if len(unused):
-            (x, y), v = self.nodes[unused[0]], unused[0]
-            raise MeshError(f"node {v} at ({x:.6g}, {y:.6g}) is in no triangle")
+            raise MeshError(f"{self._node_name(unused[0])} is in no triangle")
+
+    def _node_name(self, v) -> str:
+        """Node v as a mesh file numbers it (from 1), with its coordinates."""
+        return "node {} at ({:.6g}, {:.6g})".format(v + 1, *self.nodes[v])
 
 
 def _area_ok(p: np.ndarray, areas: np.ndarray) -> np.ndarray:

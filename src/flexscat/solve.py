@@ -42,7 +42,8 @@ it is never freed: 5 factors of a 1,014-dof system made on a worker and
 dropped on the main thread held 5.8 MB more, dropped on the worker none.
 So every factor is made and dropped inside one solve_system call, on the
 caller's thread (cli's convergence study solves its levels on a worker,
-beside the reference), and _both's second thread only solves with it.
+beside the reference, and a sweep its later values on two threads that
+share one kept ordering), and _both's second thread only solves with it.
 Factoring A's p and q halves on two threads with the cavity unknowns last
 (ROADMAP item 2) is blocked by SuperLU.L and SuperLU.U: they build CSC
 copies of the factors and keep them for the factor's lifetime.  Reading
@@ -164,7 +165,8 @@ class _Ordering:
 
     def factor(self, pattern, data: np.ndarray):
         """splu of P A P^T for the A with this pattern and these values,
-        which A = A^T lets us store as CSR and read as CSC."""
+        which A = A^T lets us store as CSR and read as CSC.  Two threads (a
+        sweep's lanes) may both build the gather: each stores the same arrays."""
         n = len(pattern.indptr) - 1
         if self._gather is None:
             rows = self.perm[np.repeat(np.arange(n), np.diff(pattern.indptr))].astype(np.int64)

@@ -413,30 +413,216 @@ def test_repeated_self_referenced_studies_hold_no_more_memory(tmp_path):
 
 
 def test_sweep_samples_the_oracle_once(tmp_path, monkeypatch):
-    """One oracle evaluation and one load per mesh; a kappa sweep needs one per value."""
+    """One oracle evaluation and one load per mesh; a kappa sweep needs one per
+    value, its load first.  Its later values overlap on two lanes, so each
+    call is logged with its kappa (None for the locator, which has none)."""
     ref = tmp_path / "ref"
     assert run(["solve", "--h", "0.12", "--oracle", "none", "--out", str(ref)]) == 0
     calls = []
-    for owner, name in ((cli.SeriesSolution, "eval_polar"), (postproc.PointLocator, "locate")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda self, *args, _name=name, _original=original:
-                            calls.append(_name) or _original(self, *args))
+    original_eval, original_locate = cli.SeriesSolution.eval_polar, postproc.PointLocator.locate
+    monkeypatch.setattr(cli.SeriesSolution, "eval_polar", lambda self, *args: calls.append(
+        ("eval_polar", self.kappa)) or original_eval(self, *args))
+    monkeypatch.setattr(postproc.PointLocator, "locate", lambda self, *args: calls.append(
+        ("locate", None)) or original_locate(self, *args))
     original_load = cli.incident_load
-    monkeypatch.setattr(cli, "incident_load",
-                        lambda *args: calls.append("incident_load") or original_load(*args))
+    monkeypatch.setattr(cli, "incident_load", lambda *args: calls.append(
+        ("incident_load", args[1])) or original_load(*args))
     sweep = ["sweep", "--values", "0.001,0.01,0.1", "--h", "0.2"]
     cases = [
         ([*sweep, "--param", "gamma"], ["eval_polar", "incident_load"]),
         ([*sweep, "--param", "eta"], ["eval_polar", "incident_load"]),
-        (["sweep", "--param", "kappa", "--values", "2,3,4", "--h", "0.2"],
-         ["incident_load", "eval_polar"] * 3),
         ([*sweep, "--param", "gamma", "--oracle", f"reference:{ref}"],
          ["locate", "incident_load"]),
     ]
     for k, (argv, expected) in enumerate(cases):
         calls.clear()
         assert run([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
-        assert calls == expected, argv
+        assert [name for name, _ in calls] == expected, argv
+    calls.clear()
+    assert run(["sweep", "--param", "kappa", "--values", "2,3,4", "--h", "0.2",
+                "--out", str(tmp_path / "kappa")]) == 0
+    assert len(calls) == 6
+    for kappa in (2.0, 3.0, 4.0):
+        assert [name for name, k in calls if k == kappa] == ["incident_load", "eval_polar"]
+
+
+#: five values: the first is solved in turn, then two on each lane
+LANE_VALUES = [0.001, 0.002, 0.005, 0.01, 0.02]
+
+
+def serial_sweep(cfg, parameter, values):
+    """The bytes of sweep_<parameter>.csv composed in turn on one thread."""
+    mesh = generate_mesh_for_h(cfg.shape, cfg.R, cfg.h_target)
+    scalars = ScalarMatrices(mesh)
+    reports = []
+    for value in values:
+        c = dataclasses.replace(cfg, **{
+            "gamma": {"method": Method.interior_penalty(value)},
+            "eta": {"method": Method.boundary_penalty(value)},
+            "kappa": {"kappa": value}}[parameter])
+        field = cli.solve_once(c, mesh, scalars, *cli.tbc_and_load(c, mesh))
+        samples = postproc.exact_samples(mesh, cli.oracle_evaluator(c))
+        reports.append(postproc.compute_errors(field, mesh, samples, c.method, c.kappa, c.N))
+    return postproc.error_csv(reports)
+
+
+@pytest.mark.parametrize("parameter, oracle, values", [
+    ("gamma", "series", LANE_VALUES),
+    ("eta", "series", LANE_VALUES),
+    ("kappa", "series", [2.0, 2.5, 3.0, 3.5, 4.0]),
+    ("gamma", "reference", LANE_VALUES),
+], ids=["gamma", "eta", "kappa", "reference"])
+def test_a_sweep_on_two_lanes_writes_the_bytes_of_the_serial_loop(tmp_path, monkeypatch,
+                                                                   parameter, oracle, values):
+    if oracle == "reference":
+        ref = tmp_path / "ref"
+        assert run(["solve", "--h", "0.1", "--oracle", "none", "--out", str(ref)]) == 0
+        oracle = f"reference:{ref}"
+    cfg = ScatterConfig(h_target=0.2, oracle=oracle, method=Method.interior_penalty(0.003))
+    solved, original = [], cli.solve_system
+    monkeypatch.setattr(cli, "solve_system", lambda system: solved.append(
+        threading.current_thread()) or original(system))
+    run_sweep(cfg, parameter, values, tmp_path / "sweep")
+    # the first value in turn, then the lanes: this thread and one worker
+    assert len(solved) == 5 and solved[0] is threading.main_thread()
+    assert len(set(solved)) == 2
+    monkeypatch.undo()
+    assert ((tmp_path / "sweep" / f"sweep_{parameter}.csv").read_text()
+            == serial_sweep(cfg, parameter, values))
+    assert not (tmp_path / "sweep" / f"sweep_{parameter}_failures.txt").exists()
+
+
+def test_lanes_switching_often_write_the_bytes_of_the_serial_loop(tmp_path):
+    # both lanes build the kept ordering's gather at their first value and
+    # write their outcomes into one list: a thread switch every few
+    # microseconds interleaves them, and nothing may be lost or mixed
+    cfg = ScatterConfig(h_target=0.2, method=Method.interior_penalty(0.003))
+    values = list(np.logspace(-4, -1, 9))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            run_sweep(cfg, "gamma", values, tmp_path / str(k))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = serial_sweep(cfg, "gamma", values)
+    for k in range(3):
+        assert (tmp_path / str(k) / "sweep_gamma.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("failure", ["solver", "warning"])
+def test_a_value_failing_on_the_worker_lane_is_recorded_in_value_order(tmp_path, monkeypatch,
+                                                                       failure):
+    # 0.001 is solved in turn; this thread takes 0.002 and 0.01, the worker
+    # 0.005 and 0.02.  0.005 fails on the worker, 0.01 later on this thread
+    original, dropped, threads = cli.solve_once, [], {}
+
+    class Factor:  # stands in for the value's SuperLU factor, a local of its solve
+        def __del__(self):
+            dropped.append(threading.current_thread())
+
+    def solve_once(cfg, *args):
+        threads[cfg.method.gamma] = threading.current_thread()
+        if cfg.method.gamma == 0.005:
+            factor = Factor()  # noqa: F841
+            if failure == "solver":
+                raise SolverError("relative residual 1.000e+00 exceeds 1e-10")
+            np.exp(np.float64(1000.0))  # raises only under main's warnings filter
+        if cfg.method.gamma == 0.01:
+            raise SolverError("factorization failed: Factor is exactly singular")
+        return original(cfg, *args)
+
+    monkeypatch.setattr(cli, "solve_once", solve_once)
+    values = ",".join(map(repr, LANE_VALUES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # not the test suite's filter
+        assert run(["sweep", "--param", "gamma", "--values", values, "--h", "0.2",
+                    "--out", str(tmp_path)]) == 0
+    assert threads[0.005] is not threading.main_thread()
+    assert threads[0.01] is threading.main_thread()
+    message = {"solver": "relative residual 1.000e+00 exceeds 1e-10",
+               "warning": "overflow encountered in exp"}[failure]
+    assert (tmp_path / "sweep_gamma_failures.txt").read_text() == (
+        f"gamma=0.005: {message}\n"
+        "gamma=0.01: factorization failed: Factor is exactly singular\n")
+    rows = (tmp_path / "sweep_gamma.csv").read_text().strip().splitlines()
+    assert [float(r.split(",")[2]) for r in rows[1:]] == [0.001, 0.002, 0.02]
+    # dropped on the worker, with the exception that held it
+    assert len(dropped) == 1 and dropped[0] is threads[0.005]
+
+
+@pytest.mark.parametrize("lower", ["worker", "main"])
+def test_the_lowest_aborting_failure_of_the_two_lanes_is_raised(tmp_path, monkeypatch,
+                                                                capsys, lower):
+    # each lane aborts; the one whose value comes later fails first in time
+    later_failed = threading.Event()
+    failing = {"worker": (0.005, 0.01), "main": (0.002, 0.005)}[lower]
+    original = cli.solve_once
+
+    def solve_once(cfg, *args):
+        gamma = cfg.method.gamma
+        if gamma == failing[0]:
+            assert later_failed.wait(timeout=60)
+            raise CavityPointError("evaluation point inside the cavity")
+        if gamma == failing[1]:
+            later_failed.set()
+            raise MemoryError("")
+        return original(cfg, *args)
+
+    monkeypatch.setattr(cli, "solve_once", solve_once)
+    values = ",".join(map(repr, LANE_VALUES))
+    assert run(["sweep", "--param", "gamma", "--values", values, "--h", "0.2",
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("numerical failure: mesh too coarse for the series "
+                                       "oracle (evaluation point inside the cavity)\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_each_factor_is_made_inside_the_solve_of_its_lane(tmp_path, monkeypatch):
+    # at h 0.04 (2,898 dofs) each value takes the real attempt, whose
+    # solves use a thread of their own: none of them factors
+    inside, factored = threading.local(), []
+    solve_system, splu = cli.solve_system, solve.splu
+
+    def solve_in_lane(system):
+        inside.solving = True
+        try:
+            return solve_system(system)
+        finally:
+            inside.solving = False
+
+    monkeypatch.setattr(cli, "solve_system", solve_in_lane)
+    monkeypatch.setattr(solve, "splu", lambda *a, **k: factored.append(
+        (threading.current_thread(), getattr(inside, "solving", False))) or splu(*a, **k))
+    assert run(["sweep", "--param", "gamma", "--values", "0.001,0.002,0.005,0.01",
+                "--h", "0.04", "--out", str(tmp_path)]) == 0
+    assert len(factored) == 4 and all(solving for _, solving in factored)
+    assert factored[0][0] is threading.main_thread()
+    assert len({thread for thread, _ in factored}) == 2
+
+
+def test_repeated_sweeps_hold_no_more_memory(tmp_path):
+    """Every factor of a sweep is made and dropped on its lane's thread."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    statm = Path("/proc/self/statm")
+    if trim is None or not statm.exists():
+        pytest.skip("needs glibc's malloc_trim and /proc/self/statm")
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+
+    def rss_mb():
+        gc.collect()
+        trim(0)  # free heap pages go back to the system: RSS counts what is held
+        return int(statm.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+    cfg = ScatterConfig(h_target=0.05, method=Method.interior_penalty(0.0031))
+    for k in range(2):  # warm-up: imports, caches and the worker's heap arena
+        run_sweep(cfg, "gamma", LANE_VALUES, tmp_path / f"w{k}")
+    before = rss_mb()
+    after = []
+    for k in range(6):
+        run_sweep(cfg, "gamma", LANE_VALUES, tmp_path / str(k))
+        after.append(rss_mb())
+    assert after[-1] - before < 4.0, (before, after)
 
 
 def test_imported_mesh_warnings_reach_stderr(tmp_path, capsys):
@@ -640,7 +826,7 @@ def ring_error_mesh_text(case):
 
 @pytest.mark.parametrize("case, argv, message", [
     ("enclosing", ["--R", "0.3", "--shape", "circle:0.6"],
-     r"node \d+ lies outside the truncation circle"),
+     r"node \d+ at \(\S+, \S+\) lies outside the truncation circle"),
     ("hole", [], "cavity boundary is not a single closed loop"),
     ("pinched", [], "cavity boundary is not a single closed loop"),
 ], ids=["enclosing", "hole", "pinched"])
@@ -670,9 +856,31 @@ def test_a_mesh_file_with_a_node_in_no_triangle_is_rejected_on_import(tmp_path, 
                                *lines[n + 1:]]))
     out = tmp_path / "out"
     assert run(["solve", "--mesh", str(path), "--oracle", "none", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"numerical failure: node {n} at (0, 0.45) "
+    # named as the file numbers it, from 1
+    assert n + 1 == 81
+    assert capsys.readouterr().err == ("numerical failure: node 81 at (0, 0.45) "
                                        "is in no triangle\n")
     assert not out.exists()
+
+
+def test_node_messages_name_nodes_as_the_mesh_file_numbers_them():
+    # the enclosing mesh's first node on the circle of radius 0.6, and an
+    # interior node classed T: the file's id (from 1) and the coordinates
+    text = ring_error_mesh_text("enclosing")
+    mesh = generate_mesh_for_h(Circle(0.3), 0.6, 0.2)
+    k = int(np.argmax(np.linalg.norm(mesh.nodes, axis=1)))
+    x, y = mesh.nodes[k]
+    with pytest.raises(MeshError, match=re.escape(
+            f"node {k + 1} at ({x:.6g}, {y:.6g}) lies outside the truncation circle")):
+        import_mesh(text)
+    mesh = generate_mesh(Circle(0.3), 0.6, 2, 12)
+    lines = export_mesh(mesh).splitlines()
+    k = int(mesh.interior_nodes[0])
+    lines[k + 1] = lines[k + 1][:-1] + "T"
+    assert lines[k + 1].startswith(f"{k + 1} ")
+    with pytest.raises(MeshError, match=re.escape(
+            f"node {k + 1} at (0.45, 0) classed as boundary but not on a boundary loop")):
+        import_mesh("\n".join(lines))
 
 
 @pytest.mark.parametrize("argv, stage", [
@@ -896,7 +1104,8 @@ CIRCLE_IP = ["--shape", "circle:0.3", "--method", "ip:0.0031", "--oracle", "seri
 def test_solves_below_the_real_attempt_build_no_woodbury(tmp_path, monkeypatch):
     """The benchmark's ladder (495 and 1,881 dofs), its gamma sweep (495) and its
     set-up probe (solve --h 0.2) stay on the complex path.  A series-oracle
-    solve starts one thread, its oracle worker; the probe and the sweep none."""
+    solve starts one thread, its oracle worker; a sweep one, the lane its
+    values after the first share; the probe none."""
     woodbury, built = solve._Woodbury, []
     monkeypatch.setattr(solve, "_Woodbury", lambda *args: built.append(args) or woodbury(*args))
     started = count_threads(monkeypatch)
@@ -905,7 +1114,7 @@ def test_solves_below_the_real_attempt_build_no_woodbury(tmp_path, monkeypatch):
             (["solve", *CIRCLE_IP, "--h", "0.1"], 1),
             (["solve", *CIRCLE_IP, "--h", "0.05"], 1),
             (["sweep", "--param", "gamma", "--logspace", "1e-4", "1e-1", "3",
-              *CIRCLE_IP, "--h", "0.1"], 0)]):
+              *CIRCLE_IP, "--h", "0.1"], 1)]):
         started.clear()
         assert run([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
         assert len(started) == threads, argv

@@ -356,15 +356,20 @@ def test_sweep_orders_each_kind_once_and_matches_fresh_solves(tmp_path, monkeypa
     assert len(solved) == len(values)
     assert len(corrected) == len(values) * real
     monkeypatch.undo()
-    # the sweep's mesh again: generation is deterministic
+    # the sweep's mesh again: generation is deterministic.  Values after the
+    # first are solved on two threads, so each solved system is found by its
+    # A's values, not by the order of the calls
     mesh = generate_mesh_for_h(config.shape, config.R, config.h_target)
     method = {"gamma": Method.interior_penalty, "eta": Method.boundary_penalty,
               "kappa": lambda kappa: config.method}[param]
-    for value, (system, (w, residual)) in zip(values, solved):
+    by_data = {system.A.data.tobytes(): (system, result) for system, result in solved}
+    assert len(by_data) == len(values)
+    for value in values:
         cfg = dataclasses.replace(config, kappa=value) if param == "kappa" else config
         tbc, load = cli.tbc_and_load(cfg, mesh)
         fresh = build_system(mesh, ScalarMatrices(mesh), tbc, load, cfg.kappa, method(value))
-        for name in ("indptr", "indices", "data"):
+        system, (w, residual) = by_data[fresh.A.data.tobytes()]
+        for name in ("indptr", "indices"):
             assert getattr(system.A, name).tobytes() == getattr(fresh.A, name).tobytes()
         w_fresh, _ = solve_system(fresh)
         assert residual <= RESIDUAL_BOUND
